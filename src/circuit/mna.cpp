@@ -6,6 +6,24 @@
 #include "obs/trace.hpp"
 
 namespace matex::circuit {
+namespace {
+
+/// Returns `g` with an explicit 0.0 at every position of pattern(c) that
+/// g lacks. Every stored value of g is kept bitwise (a position sums one
+/// g value with at most one +0.0), so G, C + gamma*G and C/h + G/2 all
+/// have pattern(G) and one symbolic LU analysis serves them all.
+la::CscMatrix with_pattern_of(const la::CscMatrix& g, const la::CscMatrix& c) {
+  la::TripletMatrix t(g.rows(), g.cols());
+  for (la::index_t j = 0; j < g.cols(); ++j) {
+    for (la::index_t p = g.col_ptr()[j]; p < g.col_ptr()[j + 1]; ++p)
+      t.add(g.row_idx()[p], j, g.values()[p]);
+    for (la::index_t p = c.col_ptr()[j]; p < c.col_ptr()[j + 1]; ++p)
+      t.add(c.row_idx()[p], j, 0.0);
+  }
+  return t.to_csc();
+}
+
+}  // namespace
 
 MnaSystem::MnaSystem(const Netlist& netlist, MnaOptions options)
     : netlist_(&netlist) {
@@ -142,7 +160,7 @@ MnaSystem::MnaSystem(const Netlist& netlist, MnaOptions options)
   }
 
   c_ = tc.to_csc();
-  g_ = tg.to_csc();
+  g_ = with_pattern_of(tg.to_csc(), c_);
   b_ = tb.to_csc();
   span.arg("unknowns", dim_).arg("nnz_g", g_.nnz()).arg("inputs",
                                                         inputs_.size());

@@ -47,6 +47,11 @@ class MnaSystem {
   }
 
   const la::CscMatrix& c() const { return c_; }
+  /// G, stored on pattern(G) ∪ pattern(C) with explicit zeros where only
+  /// C has entries. Every matrix the solvers factorize -- G, C + gamma*G,
+  /// C/h + G/2 -- therefore has pattern(G), so one symbolic LU analysis
+  /// (la::SymbolicLU) serves all of them. The zeros change no product:
+  /// G*x is bitwise the same as without them.
   const la::CscMatrix& g() const { return g_; }
   const la::CscMatrix& b() const { return b_; }
 

@@ -50,6 +50,9 @@ MatexCircuitSolver::MatexCircuitSolver(const circuit::MnaSystem& mna,
   MATEX_CHECK(options_.max_dim >= 1, "max_dim must be >= 1");
   MATEX_CHECK(options_.stall_extension >= 1.0,
               "stall_extension must be >= 1");
+  MATEX_CHECK(options_.kind != krylov::KrylovKind::kRational ||
+                  options_.gamma > 0.0,
+              "R-MATEX requires gamma > 0");
   solver::Stopwatch sw;
   const la::CscMatrix* c_for_op = &mna.c();
   if (options_.kind == krylov::KrylovKind::kStandard &&
@@ -59,28 +62,12 @@ MatexCircuitSolver::MatexCircuitSolver(const circuit::MnaSystem& mna,
     c_for_op = &c_regularized_;
   }
   // Cache lookups are O(nnz) content hashes; fingerprint each matrix
-  // once and reuse for the operator and LU(G) lookups.
-  std::uint64_t fp_g = 0;
-  if (factor_cache) {
-    fp_g = runtime::fingerprint(mna.g());
-    const std::uint64_t fp_c =
-        options_.kind == krylov::KrylovKind::kInverted
-            ? 0
-            : runtime::fingerprint(*c_for_op);
-    const auto op_entry = factor_cache->operator_factors(
-        fp_c, fp_g, *c_for_op, mna.g(), options_.kind, options_.gamma,
-        options_.lu_options);
-    op_ = std::make_unique<krylov::CircuitOperator>(
-        *c_for_op, mna.g(), options_.kind, options_.gamma, op_entry.factors);
-    op_entry.hit ? ++setup_cache_hits_ : ++setup_factorizations_;
-  } else {
-    op_ = std::make_unique<krylov::CircuitOperator>(
-        *c_for_op, mna.g(), options_.kind, options_.gamma,
-        options_.lu_options);
-    ++setup_factorizations_;
-  }
-  // The particular-solution terms need LU(G). I-MATEX's operator *is*
-  // backed by LU(G), so nothing extra is factorized in that case.
+  // once and reuse for the LU(G) and operator lookups.
+  const std::uint64_t fp_g = factor_cache ? runtime::fingerprint(mna.g()) : 0;
+  // LU(G) first: the particular-solution terms need it, and its symbolic
+  // analysis also serves the R-MATEX operator, because C + gamma*G has
+  // pattern(G) (see MnaSystem::g()). I-MATEX's operator *is* backed by
+  // LU(G), so nothing extra is factorized in that case.
   if (!g_factors_ && options_.kind != krylov::KrylovKind::kInverted) {
     if (factor_cache) {
       const auto g_entry =
@@ -92,6 +79,36 @@ MatexCircuitSolver::MatexCircuitSolver(const circuit::MnaSystem& mna,
           std::make_shared<la::SparseLU>(mna.g(), options_.lu_options);
       ++setup_factorizations_;
     }
+  }
+  if (factor_cache) {
+    // The cache's pattern-keyed symbolic side cache already holds LU(G)'s
+    // analysis, so an R-MATEX miss is a numeric refill too.
+    const std::uint64_t fp_c =
+        options_.kind == krylov::KrylovKind::kInverted
+            ? 0
+            : runtime::fingerprint(*c_for_op);
+    const auto op_entry = factor_cache->operator_factors(
+        fp_c, fp_g, *c_for_op, mna.g(), options_.kind, options_.gamma,
+        options_.lu_options);
+    op_ = std::make_unique<krylov::CircuitOperator>(
+        *c_for_op, mna.g(), options_.kind, options_.gamma, op_entry.factors);
+    op_entry.hit ? ++setup_cache_hits_ : ++setup_factorizations_;
+  } else if (options_.kind == krylov::KrylovKind::kRational) {
+    // Numeric refill of C + gamma*G along LU(G)'s analysis: no ordering,
+    // no pivot search. A pivot-tolerance violation falls back to a full
+    // factorization inside SparseLU.
+    const la::CscMatrix shifted =
+        la::add_scaled(1.0, *c_for_op, options_.gamma, mna.g());
+    op_ = std::make_unique<krylov::CircuitOperator>(
+        *c_for_op, mna.g(), options_.kind, options_.gamma,
+        std::make_shared<la::SparseLU>(shifted, g_factors_->symbolic(),
+                                       options_.lu_options));
+    ++setup_factorizations_;
+  } else {
+    op_ = std::make_unique<krylov::CircuitOperator>(
+        *c_for_op, mna.g(), options_.kind, options_.gamma,
+        options_.lu_options);
+    ++setup_factorizations_;
   }
   setup_seconds_ = sw.seconds();
 }

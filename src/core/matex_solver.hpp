@@ -3,10 +3,12 @@
 ///
 /// One solver instance owns the factorizations made once at t = 0:
 ///
-///   - the Krylov operator's LU (C for MEXP, G for I-MATEX,
-///     C + gamma*G for R-MATEX), and
 ///   - LU(G) for the particular-solution terms (shared with DC analysis;
-///     for I-MATEX it *is* the operator factorization).
+///     for I-MATEX it *is* the operator factorization), made first, and
+///   - the Krylov operator's LU (C for MEXP, G for I-MATEX,
+///     C + gamma*G for R-MATEX). C + gamma*G has pattern(G) (see
+///     circuit::MnaSystem::g()), so R-MATEX's is a numeric refill along
+///     LU(G)'s symbolic analysis, not a second ordering and pivot search.
 ///
 /// The transient loop marches over the input's PWL segments. Within a
 /// segment [l, l') with input slope s the exact solution (Eq. 5/6) is
@@ -89,7 +91,8 @@ class MatexCircuitSolver {
   /// \param options solver options
   /// \param g_factors optional shared LU(G) (from DC analysis); when null
   ///        the solver factorizes G itself (except for I-MATEX, where the
-  ///        operator factorization is LU(G) already and is reused).
+  ///        operator factorization is LU(G) already and is reused). The
+  ///        R-MATEX operator LU refills along g_factors->symbolic().
   /// \param factor_cache optional runtime factorization cache (must
   ///        outlive the solver). When set, the operator LU and LU(G) are
   ///        looked up by matrix content before being computed, so nodes,
@@ -114,8 +117,10 @@ class MatexCircuitSolver {
                              const solver::Observer& observer);
 
   /// Number of factorizations performed at construction (the serial cost
-  /// the paper excludes from "pure transient computing"). With a factor
-  /// cache, hits don't count -- they cost a lookup, not a factorization.
+  /// the paper excludes from "pure transient computing"), full ones and
+  /// numeric refills along a shared symbolic analysis alike. With a
+  /// factor cache, hits don't count -- they cost a lookup, not a
+  /// factorization.
   int setup_factorizations() const { return setup_factorizations_; }
   /// Factorizations satisfied by the cache at construction.
   int setup_cache_hits() const { return setup_cache_hits_; }

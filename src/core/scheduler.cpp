@@ -114,10 +114,17 @@ DistributedResult run_distributed_matex(const circuit::MnaSystem& mna,
   // buffer can only be staged ahead of the merge frontier while the
   // frontier's own -- earlier-started -- node is still running: live
   // buffers are bounded by the number of executing threads, not by the
-  // group count.
+  // group count. A drained buffer goes on a free list while a node that
+  // has not started yet can take it, so a run allocates (and
+  // page-faults) about that many t_count x n buffers instead of one per
+  // group, and frees them as its last nodes drain.
   struct MergeState {
     core::Mutex mutex;
-    std::map<std::size_t, std::vector<double>> staged MATEX_GUARDED_BY(mutex);
+    std::map<std::size_t, std::unique_ptr<double[]>> staged
+        MATEX_GUARDED_BY(mutex);
+    std::vector<std::unique_ptr<double[]>> free_buffers
+        MATEX_GUARDED_BY(mutex);
+    std::size_t started MATEX_GUARDED_BY(mutex) = 0;  ///< nodes given a buffer
     std::size_t merge_next MATEX_GUARDED_BY(mutex) = 0;
     double superposition_seconds MATEX_GUARDED_BY(mutex) = 0.0;
     std::exception_ptr first_error MATEX_GUARDED_BY(mutex);
@@ -140,7 +147,19 @@ DistributedResult run_distributed_matex(const circuit::MnaSystem& mna,
                         group.members.size(), "scenario",
                         options.trace_label);
     const GroupInput input(mna, group.members, options.t_start);
-    std::vector<double> node_buffer(t_count * n);
+    // A recycled buffer is not re-zeroed: the node overwrites every cell,
+    // which the emit_idx == t_count check below confirms.
+    std::unique_ptr<double[]> node_buffer;
+    {
+      const core::MutexLock lock(ms.mutex);
+      ++ms.started;
+      if (!ms.free_buffers.empty()) {
+        node_buffer = std::move(ms.free_buffers.back());
+        ms.free_buffers.pop_back();
+      }
+    }
+    if (!node_buffer)
+      node_buffer = std::make_unique<double[]>(t_count * n);
 
     solver::Stopwatch node_clock;
     MatexCircuitSolver* node_solver = shared_solver.get();
@@ -158,9 +177,8 @@ DistributedResult run_distributed_matex(const circuit::MnaSystem& mna,
         zero_state, options.t_start, options.t_end, input,
         options.output_times,
         [&](double /*t*/, std::span<const double> x) {
-          std::copy(x.begin(), x.end(),
-                    node_buffer.begin() +
-                        static_cast<std::ptrdiff_t>(emit_idx * n));
+          MATEX_CHECK(emit_idx < t_count, "node emitted past the output grid");
+          std::copy(x.begin(), x.end(), node_buffer.get() + emit_idx * n);
           ++emit_idx;
         });
     MATEX_CHECK(emit_idx == t_count, "node did not emit every output time");
@@ -192,13 +210,15 @@ DistributedResult run_distributed_matex(const circuit::MnaSystem& mna,
       MATEX_SPAN("superpose", "node", ms.merge_next, "scenario",
                  options.trace_label);
       solver::Stopwatch sup_clock;
-      const std::vector<double>& buffer = ms.staged.begin()->second;
+      const double* buffer = ms.staged.begin()->second.get();
       for (std::size_t ti = 0; ti < t_count; ++ti) {
         double* row = accum[ti].data();
-        const double* src = buffer.data() + ti * n;
+        const double* src = buffer + ti * n;
         for (std::size_t i = 0; i < n; ++i) row[i] += src[i];
       }
       ms.superposition_seconds += sup_clock.seconds();
+      if (ms.started + ms.free_buffers.size() < group_count)
+        ms.free_buffers.push_back(std::move(ms.staged.begin()->second));
       ms.staged.erase(ms.staged.begin());
       ++ms.merge_next;
     }

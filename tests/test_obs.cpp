@@ -250,6 +250,35 @@ TEST_F(ObsTest, SolverPhasesAndSchedulerIdentityAppearInTrace) {
   EXPECT_GT(count_events(doc, "superpose"), 0);
 }
 
+TEST_F(ObsTest, PaperProtocolRunFactorsOnceAndRefillsPerNode) {
+  // Table 3 protocol: no factor cache, every node builds its own R-MATEX
+  // operator but receives DC's LU(G). C + gamma*G has pattern(G), so the
+  // only full factorization is DC's LU(G); each node pays one refill.
+  const Netlist netlist = two_group_netlist();
+  const MnaSystem mna(netlist);
+  core::SchedulerOptions sopt;
+  sopt.t_end = 2.0;
+  sopt.solver.gamma = 0.05;
+  sopt.solver.tolerance = 1e-9;
+  sopt.output_times = uniform_grid(0.0, 2.0, 0.1);
+
+  start_tracing();
+  const auto result =
+      core::run_distributed_matex(mna, sopt, solver::Observer{});
+  stop_tracing();
+  ASSERT_EQ(result.group_count, 2u);
+
+  const JsonValue doc = parse_json(chrome_trace_json());
+  EXPECT_EQ(count_events(doc, "factor"), 1);
+  EXPECT_EQ(count_events(doc, "refactor"),
+            static_cast<int>(result.group_count));
+  for (const JsonValue& ev : doc.at("traceEvents").array) {
+    if (ev.at("name").as_string() == "refactor") {
+      EXPECT_NE(ev.at("args").at("kernel").as_string(), "fallback");
+    }
+  }
+}
+
 TEST_F(ObsTest, WaveformsBitwiseIdenticalTracingOnOrOff) {
   const Netlist netlist = two_group_netlist();
   const MnaSystem mna(netlist);

@@ -1,6 +1,9 @@
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <sstream>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -10,9 +13,11 @@
 #include "core/input_view.hpp"
 #include "core/scheduler.hpp"
 #include "la/error.hpp"
+#include "la/sparse_lu.hpp"
 #include "pgbench/pg_generator.hpp"
 #include "pgbench/rc_mesh.hpp"
 #include "pgbench/stiffness.hpp"
+#include "runtime/factor_cache.hpp"
 #include "solver/dc.hpp"
 #include "solver/fixed_step.hpp"
 #include "solver/observer.hpp"
@@ -214,6 +219,156 @@ TEST(Stiffness, GrowsWithCapacitanceSpread) {
   const auto eh = estimate_stiffness(mh.c(), mh.g());
   EXPECT_GT(em.stiffness, 1.0);
   EXPECT_GT(eh.stiffness, 1e3 * em.stiffness);
+}
+
+// --------------------------------------- one symbolic analysis per deck
+
+/// A pgbench deck plus the MNA options it is assembled with.
+struct PatternDeck {
+  const char* name;
+  PowerGridSpec spec;
+  circuit::MnaOptions mna;
+};
+
+/// The decks the G-pattern invariant is pinned on: the Table 3 deck shape
+/// with package inductors (whose branch diagonals live only in C), the
+/// same deck with its supplies kept as branch unknowns, and a deck with
+/// capacitance-free junctions.
+std::vector<PatternDeck> pattern_decks() {
+  std::vector<PatternDeck> decks;
+  decks.push_back({"inductive", table_benchmark_spec(1, 0.1), {}});
+  decks.push_back({"keep_vsources", table_benchmark_spec(1, 0.1),
+                   circuit::MnaOptions{.eliminate_grounded_vsources = false}});
+  PatternDeck cap_free{"cap_free", table_benchmark_spec(1, 0.1), {}};
+  cap_free.spec.cap_free_fraction = 0.3;
+  decks.push_back(cap_free);
+  return decks;
+}
+
+/// G without its explicit zeros: the matrix the stamps alone produce.
+la::CscMatrix drop_explicit_zeros(const la::CscMatrix& m) {
+  la::TripletMatrix t(m.rows(), m.cols());
+  for (la::index_t j = 0; j < m.cols(); ++j)
+    for (la::index_t p = m.col_ptr()[j]; p < m.col_ptr()[j + 1]; ++p)
+      if (m.values()[p] != 0.0) t.add(m.row_idx()[p], j, m.values()[p]);
+  return t.to_csc();
+}
+
+TEST(GPattern, ShiftedAndTrMatricesShareThePatternOfG) {
+  for (const PatternDeck& deck : pattern_decks()) {
+    SCOPED_TRACE(deck.name);
+    const Netlist n = generate_power_grid(deck.spec);
+    const MnaSystem mna(n, deck.mna);
+    const std::uint64_t fp_g = la::pattern_fingerprint(mna.g());
+    for (const double gamma : {1e-11, 1e-10, 1e-9})
+      EXPECT_EQ(fp_g, la::pattern_fingerprint(
+                          la::add_scaled(1.0, mna.c(), gamma, mna.g())))
+          << "gamma " << gamma;
+    // C/h + G/2: the trapezoidal iteration matrix.
+    for (const double h : {1e-12, 1e-11})
+      EXPECT_EQ(fp_g, la::pattern_fingerprint(
+                          la::add_scaled(1.0 / h, mna.c(), 0.5, mna.g())))
+          << "h " << h;
+  }
+}
+
+TEST(GPattern, ExplicitZerosLeaveProductsBitwiseUnchanged) {
+  for (const PatternDeck& deck : pattern_decks()) {
+    SCOPED_TRACE(deck.name);
+    const Netlist n = generate_power_grid(deck.spec);
+    const MnaSystem mna(n, deck.mna);
+    const la::CscMatrix stamped = drop_explicit_zeros(mna.g());
+    // Package inductors put their branch diagonal in C only.
+    if (!n.inductors().empty()) {
+      EXPECT_GT(mna.g().nnz(), stamped.nnz());
+    }
+    testing::Rng rng(7);
+    const auto x = testing::random_vector(
+        static_cast<std::size_t>(mna.dimension()), rng);
+    std::vector<double> y(x.size()), y_stamped(x.size());
+    mna.g().multiply(x, y);
+    stamped.multiply(x, y_stamped);
+    for (std::size_t i = 0; i < y.size(); ++i)
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(y[i]),
+                std::bit_cast<std::uint64_t>(y_stamped[i]))
+          << "row " << i;
+  }
+}
+
+/// R-MATEX options of the node-setup tests.
+core::MatexOptions node_setup_options() {
+  core::MatexOptions opt;
+  opt.kind = krylov::KrylovKind::kRational;
+  opt.gamma = 1e-10;
+  opt.tolerance = 1e-8;
+  opt.max_dim = 150;
+  return opt;
+}
+
+TEST(NodeSetup, OperatorRefactorsAlongSharedLuOfG) {
+  const Netlist n = generate_power_grid(table_benchmark_spec(1, 0.1));
+  const MnaSystem mna(n);
+  const auto dc = solver::dc_operating_point(mna);
+  const core::MatexCircuitSolver node(mna, node_setup_options(),
+                                      dc.g_factors);
+  const la::SparseLU& op_lu = node.krylov_operator().factorization();
+  EXPECT_TRUE(op_lu.refactored());
+  EXPECT_EQ(op_lu.symbolic().get(), dc.g_factors->symbolic().get());
+  EXPECT_EQ(node.setup_factorizations(), 1);
+
+  // Without a shared LU(G) the node factorizes G itself and still
+  // refills the operator along that analysis.
+  const core::MatexCircuitSolver own(mna, node_setup_options());
+  EXPECT_TRUE(own.krylov_operator().factorization().refactored());
+  EXPECT_EQ(own.setup_factorizations(), 2);
+}
+
+TEST(NodeSetup, FactorCacheRefillsTheOperatorOnItsFirstGamma) {
+  const Netlist n = generate_power_grid(table_benchmark_spec(1, 0.1));
+  const MnaSystem mna(n);
+  runtime::FactorCache cache;
+  const core::MatexCircuitSolver node(mna, node_setup_options(), nullptr,
+                                      &cache);
+  EXPECT_EQ(node.setup_factorizations(), 2);
+  EXPECT_TRUE(node.krylov_operator().factorization().refactored());
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.misses, 2);
+  EXPECT_EQ(stats.symbolic_hits, 1);
+  EXPECT_EQ(cache.symbolic_size(), 1u);
+}
+
+TEST(NodeSetup, PivotToleranceFallbackKeepsWaveforms) {
+  // Kept supplies: their branch rows have no C, so on C + gamma*G the
+  // frozen LU(G) pivots there are no longer the column maxima.
+  const auto spec = table_benchmark_spec(1, 0.1);
+  const Netlist n = generate_power_grid(spec);
+  const MnaSystem mna(
+      n, circuit::MnaOptions{.eliminate_grounded_vsources = false});
+  const auto dc = solver::dc_operating_point(mna);
+  const core::FullInput input(mna);
+  const auto grid = solver::uniform_grid(0.0, spec.t_window, 1e-11);
+
+  core::MatexCircuitSolver refill(mna, node_setup_options(), dc.g_factors);
+  ASSERT_TRUE(refill.krylov_operator().factorization().refactored());
+  solver::StateRecorder ref;
+  refill.run(dc.x, 0.0, spec.t_window, input, grid, ref.observer());
+
+  // A strict refactor tolerance rejects those frozen pivots, so the
+  // operator falls back to a full factorization.
+  core::MatexOptions strict = node_setup_options();
+  strict.lu_options.refactor_pivot_tol = 1.0;
+  core::MatexCircuitSolver fallback(mna, strict, dc.g_factors);
+  const la::SparseLU& op_lu = fallback.krylov_operator().factorization();
+  EXPECT_FALSE(op_lu.refactored());
+  EXPECT_NE(op_lu.symbolic().get(), dc.g_factors->symbolic().get());
+  solver::StateRecorder rec;
+  fallback.run(dc.x, 0.0, spec.t_window, input, grid, rec.observer());
+
+  ASSERT_EQ(rec.sample_count(), ref.sample_count());
+  solver::ErrorStats err;
+  for (std::size_t i = 0; i < rec.sample_count(); ++i)
+    err.accumulate(rec.state(i), ref.state(i));
+  EXPECT_LT(err.max_abs, 1e-6);
 }
 
 TEST(Integration, InductivePadGridMatexVsTr) {
