@@ -67,7 +67,7 @@ MatexCircuitSolver::MatexCircuitSolver(const circuit::MnaSystem& mna,
   // LU(G) first: the particular-solution terms need it, and its symbolic
   // analysis also serves the R-MATEX operator, because C + gamma*G has
   // pattern(G) (see MnaSystem::g()). I-MATEX's operator *is* backed by
-  // LU(G), so nothing extra is factorized in that case.
+  // LU(G): it adopts a shared one, or else factorizes G exactly once.
   if (!g_factors_ && options_.kind != krylov::KrylovKind::kInverted) {
     if (factor_cache) {
       const auto g_entry =
@@ -104,6 +104,10 @@ MatexCircuitSolver::MatexCircuitSolver(const circuit::MnaSystem& mna,
         std::make_shared<la::SparseLU>(shifted, g_factors_->symbolic(),
                                        options_.lu_options));
     ++setup_factorizations_;
+  } else if (options_.kind == krylov::KrylovKind::kInverted && g_factors_) {
+    // I-MATEX's operator is G^{-1}C: adopt the shared LU(G) outright.
+    op_ = std::make_unique<krylov::CircuitOperator>(
+        *c_for_op, mna.g(), options_.kind, options_.gamma, g_factors_);
   } else {
     op_ = std::make_unique<krylov::CircuitOperator>(
         *c_for_op, mna.g(), options_.kind, options_.gamma,

@@ -92,7 +92,8 @@ class MatexCircuitSolver {
   /// \param g_factors optional shared LU(G) (from DC analysis); when null
   ///        the solver factorizes G itself (except for I-MATEX, where the
   ///        operator factorization is LU(G) already and is reused). The
-  ///        R-MATEX operator LU refills along g_factors->symbolic().
+  ///        R-MATEX operator LU refills along g_factors->symbolic(); an
+  ///        I-MATEX operator adopts g_factors as is (no factorization).
   /// \param factor_cache optional runtime factorization cache (must
   ///        outlive the solver). When set, the operator LU and LU(G) are
   ///        looked up by matrix content before being computed, so nodes,

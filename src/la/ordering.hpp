@@ -17,7 +17,7 @@ namespace matex::la {
 enum class Ordering {
   kNatural,    ///< identity permutation
   kRcm,        ///< reverse Cuthill-McKee (bandwidth reduction)
-  kMinDegree,  ///< quotient-graph minimum degree (fill reduction)
+  kMinDegree,  ///< approximate minimum degree (fill reduction)
 };
 
 /// Computes a symmetric fill-reducing permutation of the square matrix
@@ -29,9 +29,10 @@ std::vector<index_t> compute_ordering(const CscMatrix& a, Ordering method);
 std::vector<index_t> rcm_order(
     const std::vector<std::vector<index_t>>& adjacency);
 
-/// Quotient-graph minimum-degree ordering (exposed for tests).
-std::vector<index_t> min_degree_order(
-    const std::vector<std::vector<index_t>>& adjacency);
+/// Approximate minimum degree ordering (Amestoy-Davis-Duff) of the
+/// pattern of A + A', postordered along its assembly tree; rows denser
+/// than max(16, 10 sqrt(n)) are ordered last (exposed for tests).
+std::vector<index_t> min_degree_order(const CscMatrix& a);
 
 /// Elimination tree of the symmetric pattern of A(order, order): for the
 /// graph of A + A' relabeled by `order`, parent[j] is the smallest k > j

@@ -503,8 +503,9 @@ void SparseLU::factorize_full(const CscMatrix& a,
   const index_t n_ = a.rows();
   sym->n_ = n_;
   const std::size_t n = static_cast<std::size_t>(n_);
-  sym->q_ = compute_ordering(a, options.ordering);
   {
+    MATEX_SPAN("order", "n", n_);
+    sym->q_ = compute_ordering(a, options.ordering);
     // Postorder the elimination tree of the ordered pattern: a symmetric
     // relabeling that preserves the fill of the (structurally symmetric)
     // factorization but makes every etree chain occupy adjacent pivot

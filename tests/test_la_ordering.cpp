@@ -1,11 +1,14 @@
 #include "la/ordering.hpp"
 
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "circuit/mna.hpp"
 #include "la/error.hpp"
 #include "la/sparse_lu.hpp"
+#include "pgbench/pg_generator.hpp"
 #include "test_util.hpp"
 
 namespace matex::la {
@@ -200,6 +203,122 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Range<std::size_t>(1, 11),
                        ::testing::Values(Ordering::kNatural, Ordering::kRcm,
                                          Ordering::kMinDegree)));
+
+/// Named edge-case patterns for the approximate minimum degree ordering.
+struct AmdCase {
+  std::string name;
+  CscMatrix matrix;
+};
+
+void PrintTo(const AmdCase& c, std::ostream* os) { *os << c.name; }
+
+CscMatrix diagonal_only(index_t n) {
+  TripletMatrix t(n, n);
+  for (index_t i = 0; i < n; ++i) t.add(i, i, 1.0);
+  return t.to_csc();
+}
+
+/// Arrowhead with the hub at row/column 0: the hub's degree n-1 exceeds
+/// the dense threshold max(16, 10 sqrt(n)) once n > 100.
+CscMatrix arrowhead(index_t n) {
+  TripletMatrix t(n, n);
+  for (index_t i = 0; i < n; ++i) t.add(i, i, 4.0);
+  for (index_t i = 1; i < n; ++i) {
+    t.add(0, i, 1.0);
+    t.add(i, 0, 1.0);
+  }
+  return t.to_csc();
+}
+
+std::vector<AmdCase> amd_cases() {
+  std::vector<AmdCase> cases;
+  cases.push_back({"empty", TripletMatrix(0, 0).to_csc()});
+  cases.push_back({"n1", diagonal_only(1)});
+  cases.push_back({"n1_no_entries", TripletMatrix(1, 1).to_csc()});
+  {
+    TripletMatrix t(2, 2);  // n = 2: dense threshold min(n - 2, 16) = 0
+    t.add(0, 0, 2.0);
+    t.add(0, 1, -1.0);
+    t.add(1, 0, -1.0);
+    t.add(1, 1, 2.0);
+    cases.push_back({"n2", t.to_csc()});
+  }
+  cases.push_back({"isolated", diagonal_only(7)});
+  {
+    // Two grids and a chain, block-diagonal, with isolated vertices
+    // between the blocks.
+    const CscMatrix g1 = testing::grid_laplacian(5, 6);
+    const CscMatrix g2 = testing::grid_laplacian(3, 9);
+    const index_t n = g1.rows() + g2.rows() + 12;
+    TripletMatrix t(n, n);
+    index_t base = 0;
+    for (const CscMatrix* g : {&g1, &g2}) {
+      for (index_t j = 0; j < g->cols(); ++j)
+        for (index_t p = g->col_ptr()[j]; p < g->col_ptr()[j + 1]; ++p)
+          t.add(base + g->row_idx()[p], base + j, g->values()[p]);
+      base += g->rows() + 2;  // two isolated vertices after each block
+    }
+    for (index_t i = 0; i < n; ++i) t.add(i, i, 1.0);
+    for (index_t i = base; i + 1 < n; ++i) {
+      t.add(i, i + 1, -1.0);
+      t.add(i + 1, i, -1.0);
+    }
+    cases.push_back({"disconnected", t.to_csc()});
+  }
+  cases.push_back({"dense_hub", arrowhead(400)});
+  {
+    // Structurally unsymmetric: strictly lower entries only (plus the
+    // diagonal), so the ordering must symmetrize the pattern itself.
+    testing::Rng rng(97);
+    const index_t n = 90;
+    TripletMatrix t(n, n);
+    for (index_t i = 0; i < n; ++i) {
+      t.add(i, i, 5.0);
+      for (index_t j = 0; j < i; ++j)
+        if (rng.uniform() < 0.06) t.add(i, j, rng.uniform(-1.0, 1.0));
+    }
+    cases.push_back({"unsymmetric", t.to_csc()});
+  }
+  return cases;
+}
+
+class AmdEdgeCaseTest : public ::testing::TestWithParam<AmdCase> {};
+
+TEST_P(AmdEdgeCaseTest, ReturnsValidDeterministicPermutation) {
+  const CscMatrix& a = GetParam().matrix;
+  const auto p = min_degree_order(a);
+  EXPECT_EQ(p.size(), static_cast<std::size_t>(a.rows()));
+  EXPECT_TRUE(is_permutation(p));
+  EXPECT_EQ(min_degree_order(a), p);
+  EXPECT_EQ(compute_ordering(a, Ordering::kMinDegree), p);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Patterns, AmdEdgeCaseTest, ::testing::ValuesIn(amd_cases()),
+    [](const ::testing::TestParamInfo<AmdCase>& info) {
+      return info.param.name;
+    });
+
+TEST(Amd, DenseHubIsOrderedLast) {
+  // Rows denser than max(16, 10 sqrt(n)) are deferred to the end, so the
+  // hub cannot fill in the leaves: L + U holds A's pattern and at most a
+  // second copy of the diagonal.
+  const CscMatrix a = arrowhead(400);
+  const auto p = min_degree_order(a);
+  EXPECT_EQ(p.back(), 0);
+  const SparseLU lu(a);
+  EXPECT_LE(lu.nnz_l() + lu.nnz_u(), a.nnz() + a.rows());
+}
+
+TEST(Amd, FillNoWorseThanExactMinimumDegreeOnTableDeck) {
+  // Fill guard: the exact quotient-graph minimum degree this ordering
+  // replaced reached nnz(L) + nnz(U) = 156648 on matexpg3t (seed 1).
+  auto spec = pgbench::table_benchmark_spec(3);
+  spec.seed = 1;
+  const circuit::MnaSystem mna(pgbench::generate_power_grid(spec));
+  const SparseLU lu(mna.g());
+  EXPECT_LE(lu.nnz_l() + lu.nnz_u(), 156648);
+}
 
 }  // namespace
 }  // namespace matex::la

@@ -277,6 +277,29 @@ TEST_F(ObsTest, PaperProtocolRunFactorsOnceAndRefillsPerNode) {
       EXPECT_NE(ev.at("args").at("kernel").as_string(), "fallback");
     }
   }
+
+  // The ordering runs once, inside DC's factor span: a refill reuses the
+  // analysis, so no order span sits under a refactor.
+  ASSERT_EQ(count_events(doc, "order"), 1);
+  const JsonValue* factor = find_event(doc, "factor");
+  ASSERT_NE(factor, nullptr);
+  const JsonValue& order = *find_event(doc, "order");
+  const auto contains = [](const JsonValue& outer, const JsonValue& inner) {
+    const double t0 = outer.at("ts").as_number();
+    const double t1 = t0 + outer.at("dur").as_number();
+    const double s0 = inner.at("ts").as_number();
+    const double s1 = s0 + inner.at("dur").as_number();
+    return outer.at("tid").as_number() == inner.at("tid").as_number() &&
+           s0 >= t0 && s1 <= t1 + 1e-3;
+  };
+  EXPECT_TRUE(contains(*factor, order));
+  EXPECT_EQ(order.at("args").at("n").as_number(),
+            static_cast<double>(mna.dimension()));
+  for (const JsonValue& ev : doc.at("traceEvents").array) {
+    if (ev.at("name").as_string() == "refactor") {
+      EXPECT_FALSE(contains(ev, order));
+    }
+  }
 }
 
 TEST_F(ObsTest, WaveformsBitwiseIdenticalTracingOnOrOff) {

@@ -323,6 +323,41 @@ TEST(NodeSetup, OperatorRefactorsAlongSharedLuOfG) {
   EXPECT_EQ(own.setup_factorizations(), 2);
 }
 
+TEST(NodeSetup, InvertedOperatorAdoptsSharedLuOfG) {
+  // I-MATEX's operator is backed by LU(G) itself: handed DC's LU(G), the
+  // node factorizes nothing, and its waveforms match a node that
+  // factorizes G on its own (same matrix, same options) bit for bit.
+  const auto spec = table_benchmark_spec(1, 0.1);
+  const Netlist n = generate_power_grid(spec);
+  const MnaSystem mna(n);
+  const auto dc = solver::dc_operating_point(mna);
+  core::MatexOptions opt;
+  opt.kind = krylov::KrylovKind::kInverted;
+  opt.tolerance = 1e-8;
+  opt.max_dim = 200;
+  core::MatexCircuitSolver shared(mna, opt, dc.g_factors);
+  EXPECT_EQ(shared.setup_factorizations(), 0);
+  EXPECT_EQ(&shared.krylov_operator().factorization(), dc.g_factors.get());
+  core::MatexCircuitSolver own(mna, opt);
+  EXPECT_EQ(own.setup_factorizations(), 1);
+
+  const core::FullInput input(mna);
+  const auto grid = solver::uniform_grid(0.0, spec.t_window, 1e-10);
+  solver::StateRecorder from_shared, from_own;
+  shared.run(dc.x, 0.0, spec.t_window, input, grid, from_shared.observer());
+  own.run(dc.x, 0.0, spec.t_window, input, grid, from_own.observer());
+  ASSERT_EQ(from_shared.sample_count(), from_own.sample_count());
+  for (std::size_t s = 0; s < from_own.sample_count(); ++s) {
+    const auto x = from_shared.state(s);
+    const auto y = from_own.state(s);
+    ASSERT_EQ(x.size(), y.size());
+    for (std::size_t i = 0; i < x.size(); ++i)
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(x[i]),
+                std::bit_cast<std::uint64_t>(y[i]))
+          << "sample " << s << " row " << i;
+  }
+}
+
 TEST(NodeSetup, FactorCacheRefillsTheOperatorOnItsFirstGamma) {
   const Netlist n = generate_power_grid(table_benchmark_spec(1, 0.1));
   const MnaSystem mna(n);
