@@ -105,26 +105,36 @@ DistributedResult run_distributed_matex(const circuit::MnaSystem& mna,
     pool = local_pool.get();
   }
 
-  // Node contributions are merged strictly in group-index order: a node
-  // finishing out of turn stages its buffer and whoever completes the
-  // missing predecessor drains the queue. This makes the floating-point
-  // accumulation order -- hence the output, bit for bit -- independent of
-  // the parallelism setting (the superposition order is fixed). Node
-  // tasks are submitted with submit_ordered (global FIFO starts), so a
-  // buffer can only be staged ahead of the merge frontier while the
-  // frontier's own -- earlier-started -- node is still running: live
-  // buffers are bounded by the number of executing threads, not by the
-  // group count. A drained buffer goes on a free list while a node that
-  // has not started yet can take it, so a run allocates (and
-  // page-faults) about that many t_count x n buffers instead of one per
-  // group, and frees them as its last nodes drain.
+  // Node contributions are merged strictly in group-index order, so the
+  // floating-point accumulation order -- hence the output, bit for bit --
+  // is independent of the parallelism setting. The merge frontier
+  // (merge_next) is the lowest-index group not yet merged. A node that is
+  // the frontier when it starts owns `accum` until it finishes (nobody
+  // can merge past it), so it adds each live row straight into `accum`
+  // from its observer: no buffer, no second pass. Sequential runs take
+  // this path for every node. A node that starts out of turn stages its
+  // live rows compactly in a t_count x n buffer, and whoever advances the
+  // frontier to it drains it, together with any successors parked behind
+  // it. A node's live rows are its output from the first row with a
+  // nonzero entry on: before its first transition spot its response from
+  // the zero state is exactly zero, and those leading rows are neither
+  // stored nor added (x + 0.0 == x, so the sum compares == to a dense
+  // merge; at most the sign of a zero differs). Node tasks are submitted
+  // with submit_ordered (global FIFO starts), so a buffer can only be
+  // staged while the frontier's own -- earlier-started -- node is still
+  // running: live buffers are bounded by the number of executing threads,
+  // not by the group count. A drained buffer goes on a free list while a
+  // node that has not started yet can take it.
   struct MergeState {
+    struct Staged {
+      std::unique_ptr<double[]> rows;  ///< live rows, row first_live first
+      std::size_t first_live = 0;
+    };
     core::Mutex mutex;
-    std::map<std::size_t, std::unique_ptr<double[]>> staged
-        MATEX_GUARDED_BY(mutex);
+    std::map<std::size_t, Staged> staged MATEX_GUARDED_BY(mutex);
     std::vector<std::unique_ptr<double[]>> free_buffers
         MATEX_GUARDED_BY(mutex);
-    std::size_t started MATEX_GUARDED_BY(mutex) = 0;  ///< nodes given a buffer
+    std::size_t started MATEX_GUARDED_BY(mutex) = 0;
     std::size_t merge_next MATEX_GUARDED_BY(mutex) = 0;
     double superposition_seconds MATEX_GUARDED_BY(mutex) = 0.0;
     std::exception_ptr first_error MATEX_GUARDED_BY(mutex);
@@ -132,9 +142,9 @@ DistributedResult run_distributed_matex(const circuit::MnaSystem& mna,
     std::atomic<bool> aborted{false};
   } ms;
 
-  // One emulated slave node: simulate group `gi` into a private buffer,
-  // then hand it to the in-order superposition (the scheduler-side
-  // write-back of Fig. 4).
+  // One emulated slave node: simulate group `gi` and write its live rows
+  // back (the scheduler-side write-back of Fig. 4), in place at the
+  // frontier or staged for the in-order merge.
   const auto run_node = [&](std::size_t gi) {
     // relaxed: purely a work-avoidance hint. The error itself travels
     // under ms.mutex; a task that reads a stale false just simulates a
@@ -147,19 +157,21 @@ DistributedResult run_distributed_matex(const circuit::MnaSystem& mna,
                         group.members.size(), "scenario",
                         options.trace_label);
     const GroupInput input(mna, group.members, options.t_start);
-    // A recycled buffer is not re-zeroed: the node overwrites every cell,
-    // which the emit_idx == t_count check below confirms.
+    bool in_place = false;
     std::unique_ptr<double[]> node_buffer;
     {
       const core::MutexLock lock(ms.mutex);
       ++ms.started;
-      if (!ms.free_buffers.empty()) {
+      in_place = gi == ms.merge_next;
+      if (!in_place && !ms.free_buffers.empty()) {
         node_buffer = std::move(ms.free_buffers.back());
         ms.free_buffers.pop_back();
       }
     }
-    if (!node_buffer)
-      node_buffer = std::make_unique<double[]>(t_count * n);
+    // Neither a fresh nor a recycled buffer is zeroed: the node writes
+    // every live row before the drain reads it, so only those pages fault.
+    if (!in_place && !node_buffer)
+      node_buffer = std::make_unique_for_overwrite<double[]>(t_count * n);
 
     solver::Stopwatch node_clock;
     MatexCircuitSolver* node_solver = shared_solver.get();
@@ -173,13 +185,29 @@ DistributedResult run_distributed_matex(const circuit::MnaSystem& mna,
     }
 
     std::size_t emit_idx = 0;
+    std::size_t first_live = t_count;  // t_count until a live row arrives
+    double add_seconds = 0.0;
     auto stats = node_solver->run(
         zero_state, options.t_start, options.t_end, input,
         options.output_times,
         [&](double /*t*/, std::span<const double> x) {
           MATEX_CHECK(emit_idx < t_count, "node emitted past the output grid");
-          std::copy(x.begin(), x.end(), node_buffer.get() + emit_idx * n);
-          ++emit_idx;
+          const std::size_t ti = emit_idx++;
+          if (first_live == t_count) {
+            if (std::all_of(x.begin(), x.end(),
+                            [](double v) { return v == 0.0; }))
+              return;
+            first_live = ti;
+          }
+          if (in_place) {
+            solver::Stopwatch add_clock;
+            double* row = accum[ti].data();
+            for (std::size_t i = 0; i < n; ++i) row[i] += x[i];
+            add_seconds += add_clock.seconds();
+          } else {
+            std::copy(x.begin(), x.end(),
+                      node_buffer.get() + (ti - first_live) * n);
+          }
         });
     MATEX_CHECK(emit_idx == t_count, "node did not emit every output time");
     const double node_total = node_clock.seconds();
@@ -189,11 +217,15 @@ DistributedResult run_distributed_matex(const circuit::MnaSystem& mna,
     report.source_count = group.members.size();
     report.lts_size =
         input.transition_spots(options.t_start, options.t_end).size();
+    report.live_rows = t_count - first_live;
     report.cache_hits = local ? local->setup_cache_hits() : 0;
     report.stats = stats;
     node_span.arg("lts", report.lts_size)
         .arg("cache_hits", report.cache_hits);
     if (!options.share_factorizations) report.stats.total_seconds = node_total;
+    if (in_place)
+      obs::instant("superpose", "node", gi, "rows", report.live_rows,
+                   "scenario", options.trace_label);
 
     const core::MutexLock lock(ms.mutex);
     result.max_node_transient_seconds = std::max(
@@ -203,22 +235,28 @@ DistributedResult run_distributed_matex(const circuit::MnaSystem& mna,
     result.factor_cache_hits += report.cache_hits;
     result.aggregate.merge(report.stats);
     result.nodes[gi] = std::move(report);
-    ms.staged.emplace(gi, std::move(node_buffer));
-    // Drain every staged buffer that now sits at the merge frontier
-    // (this node's own, plus any successors parked behind it).
+    if (in_place) {
+      ms.superposition_seconds += add_seconds;
+      ++ms.merge_next;
+    } else {
+      ms.staged.emplace(gi,
+                        MergeState::Staged{std::move(node_buffer), first_live});
+    }
+    // Drain every staged buffer that now sits at the merge frontier (this
+    // node's own, or successors parked behind the frontier it advanced).
     while (!ms.staged.empty() && ms.staged.begin()->first == ms.merge_next) {
-      MATEX_SPAN("superpose", "node", ms.merge_next, "scenario",
-                 options.trace_label);
+      MergeState::Staged& next = ms.staged.begin()->second;
+      MATEX_SPAN("superpose", "node", ms.merge_next, "rows",
+                 t_count - next.first_live, "scenario", options.trace_label);
       solver::Stopwatch sup_clock;
-      const double* buffer = ms.staged.begin()->second.get();
-      for (std::size_t ti = 0; ti < t_count; ++ti) {
+      for (std::size_t ti = next.first_live; ti < t_count; ++ti) {
         double* row = accum[ti].data();
-        const double* src = buffer + ti * n;
+        const double* src = next.rows.get() + (ti - next.first_live) * n;
         for (std::size_t i = 0; i < n; ++i) row[i] += src[i];
       }
       ms.superposition_seconds += sup_clock.seconds();
       if (ms.started + ms.free_buffers.size() < group_count)
-        ms.free_buffers.push_back(std::move(ms.staged.begin()->second));
+        ms.free_buffers.push_back(std::move(next.rows));
       ms.staged.erase(ms.staged.begin());
       ++ms.merge_next;
     }

@@ -22,6 +22,15 @@
 /// group-index order no matter which worker finishes first, so the output
 /// is bit-identical across parallelism settings, with or without a shared
 /// pool, and with or without a factorization cache.
+///
+/// Only live rows are written back. A node starts from the zero state, so
+/// before its first transition spot its response is exactly zero; its
+/// leading all-zero output rows are neither stored nor added. The node at
+/// the merge frontier (the lowest-index group not yet merged) adds each
+/// live row straight into the accumulator as its solver emits it, with no
+/// buffer and no second pass; with sequential nodes every node is the
+/// frontier. A node that starts out of turn stages its live rows and is
+/// merged when the frontier reaches it.
 #pragma once
 
 #include <memory>
@@ -100,6 +109,9 @@ struct NodeReport {
   std::size_t group_index = 0;
   std::size_t source_count = 0;
   std::size_t lts_size = 0;
+  /// Output rows this node wrote back: the output-grid size minus the
+  /// node's leading all-zero rows (those before its response turns on).
+  std::size_t live_rows = 0;
   /// Setup factorizations this node satisfied from the factor cache.
   int cache_hits = 0;
   solver::TransientStats stats;

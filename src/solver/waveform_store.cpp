@@ -1,5 +1,6 @@
 #include "solver/waveform_store.hpp"
 
+#include <array>
 #include <bit>
 #include <cstdio>
 #include <cstring>
@@ -17,7 +18,7 @@ namespace matex::solver {
 namespace {
 
 // The store is specified little-endian (docs/FORMATS.md); scalars are
-// memcpy'd raw, so a big-endian port would need byte swaps here.
+// copied as raw host bytes, so a big-endian port would need byte swaps here.
 static_assert(std::endian::native == std::endian::little,
               "waveform store I/O assumes a little-endian host");
 
@@ -46,9 +47,8 @@ std::uint64_t align8(std::uint64_t v) { return (v + 7) & ~std::uint64_t{7}; }
 
 template <typename T>
 void put(std::vector<unsigned char>& buf, T v) {
-  const std::size_t at = buf.size();
-  buf.resize(at + sizeof(T));
-  std::memcpy(buf.data() + at, &v, sizeof(T));
+  const auto bytes = std::bit_cast<std::array<unsigned char, sizeof(T)>>(v);
+  buf.insert(buf.end(), bytes.begin(), bytes.end());
 }
 
 template <typename T>

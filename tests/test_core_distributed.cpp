@@ -1,5 +1,8 @@
+#include <algorithm>
 #include <cmath>
 #include <set>
+#include <span>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -9,6 +12,7 @@
 #include "core/complexity.hpp"
 #include "core/decomposition.hpp"
 #include "core/input_view.hpp"
+#include "core/matex_solver.hpp"
 #include "core/scheduler.hpp"
 #include "la/error.hpp"
 #include "runtime/thread_pool.hpp"
@@ -40,6 +44,34 @@ PulseSpec bump(double delay, double rise, double width, double fall,
   return s;
 }
 
+std::string mesh_node(int r, int c) {
+  std::string s = matex::testing::numbered("m", r);
+  s += std::to_string(c);
+  return s;
+}
+
+/// Supply rail plus a 2x3 RC mesh of nodes m<r><c> hanging off the pad
+/// through Rp.
+void add_rc_mesh(Netlist& netlist) {
+  netlist.add_voltage_source("Vdd", "p", "0", Waveform::dc(1.0));
+  const auto tagged = [](const char* prefix, int r, int c) {
+    std::string s(prefix);
+    s += mesh_node(r, c);
+    return s;
+  };
+  netlist.add_resistor("Rp", "p", mesh_node(0, 0), 0.2);
+  for (int r = 0; r < 2; ++r)
+    for (int c = 0; c < 3; ++c) {
+      netlist.add_capacitor(tagged("C", r, c), mesh_node(r, c), "0", 0.3);
+      if (c + 1 < 3)
+        netlist.add_resistor(tagged("Rh", r, c), mesh_node(r, c),
+                             mesh_node(r, c + 1), 0.5);
+      if (r + 1 < 2)
+        netlist.add_resistor(tagged("Rv", r, c), mesh_node(r, c),
+                             mesh_node(r + 1, c), 0.5);
+    }
+}
+
 /// Small power-grid-like fixture: supply rail, RC mesh, four pulsed loads
 /// drawn from two distinct bump shapes plus one DC load.
 struct PdnFixture {
@@ -47,43 +79,40 @@ struct PdnFixture {
   std::unique_ptr<MnaSystem> mna;
 
   PdnFixture() {
-    netlist.add_voltage_source("Vdd", "p", "0", Waveform::dc(1.0));
-    // 2x3 mesh of nodes m<r><c> hanging off the pad through Rp.
-    const auto node = [](int r, int c) {
-      std::string s = matex::testing::numbered("m", r);
-      s += std::to_string(c);
-      return s;
-    };
-    const auto tagged = [&](const char* prefix, int r, int c) {
-      std::string s(prefix);
-      s += node(r, c);
-      return s;
-    };
-    netlist.add_resistor("Rp", "p", node(0, 0), 0.2);
-    for (int r = 0; r < 2; ++r)
-      for (int c = 0; c < 3; ++c) {
-        netlist.add_capacitor(tagged("C", r, c), node(r, c), "0", 0.3);
-        if (c + 1 < 3)
-          netlist.add_resistor(tagged("Rh", r, c), node(r, c),
-                               node(r, c + 1), 0.5);
-        if (r + 1 < 2)
-          netlist.add_resistor(tagged("Rv", r, c), node(r, c),
-                               node(r + 1, c), 0.5);
-      }
+    add_rc_mesh(netlist);
     // Shape A at two sites, shape B at two sites, one DC load.
-    netlist.add_current_source("I1", node(0, 1), "0",
+    netlist.add_current_source("I1", mesh_node(0, 1), "0",
                                Waveform::pulse(bump(0.3, 0.1, 0.2, 0.1,
                                                     0.2)));
-    netlist.add_current_source("I2", node(1, 2), "0",
+    netlist.add_current_source("I2", mesh_node(1, 2), "0",
                                Waveform::pulse(bump(0.3, 0.1, 0.2, 0.1,
                                                     0.15)));
-    netlist.add_current_source("I3", node(0, 2), "0",
+    netlist.add_current_source("I3", mesh_node(0, 2), "0",
                                Waveform::pulse(bump(0.9, 0.05, 0.3, 0.15,
                                                     0.1)));
-    netlist.add_current_source("I4", node(1, 0), "0",
+    netlist.add_current_source("I4", mesh_node(1, 0), "0",
                                Waveform::pulse(bump(0.9, 0.05, 0.3, 0.15,
                                                     0.25)));
-    netlist.add_current_source("Idc", node(1, 1), "0", Waveform::dc(0.05));
+    netlist.add_current_source("Idc", mesh_node(1, 1), "0",
+                               Waveform::dc(0.05));
+    mna = std::make_unique<MnaSystem>(netlist);
+  }
+};
+
+/// RC mesh with four loads of distinct bump shapes staggered across a
+/// [0, 2] window: each is its own group, and the later a group's bump, the
+/// longer its zero-state response stays exactly zero.
+struct StaggeredFixture {
+  Netlist netlist;
+  std::unique_ptr<MnaSystem> mna;
+
+  StaggeredFixture() {
+    add_rc_mesh(netlist);
+    const double delays[] = {0.1, 0.5, 0.9, 1.3};
+    for (int k = 0; k < 4; ++k)
+      netlist.add_current_source(
+          matex::testing::numbered("I", k), mesh_node(k % 2, 1 + k % 2), "0",
+          Waveform::pulse(bump(delays[k], 0.05, 0.2, 0.1, 0.1 + 0.05 * k)));
     mna = std::make_unique<MnaSystem>(netlist);
   }
 };
@@ -385,6 +414,77 @@ TEST(Scheduler, BitwiseDeterministicAcrossParallelism) {
     }
   }
   opt.pool = nullptr;
+}
+
+TEST(Scheduler, LiveRowSuperpositionMatchesGroupSum) {
+  // Nodes write back only their live rows (from the first nonzero row
+  // on), in place at the merge frontier or staged out of turn. The sum
+  // must still equal DC plus every group's full response, added in group
+  // order, under ==.
+  StaggeredFixture f;
+  SchedulerOptions opt;
+  opt.t_end = 2.0;
+  opt.solver.gamma = 0.05;
+  opt.solver.tolerance = 1e-10;
+  opt.output_times = uniform_grid(0.0, 2.0, 0.05);
+  const std::size_t t_count = opt.output_times.size();
+
+  const auto dc =
+      solver::dc_operating_point(*f.mna, opt.t_start, opt.solver.lu_options);
+  DecompositionOptions dopt = opt.decomposition;
+  dopt.t_start = opt.t_start;
+  dopt.t_end = opt.t_end;
+  const Decomposition decomp = decompose_sources(*f.mna, dopt);
+  ASSERT_EQ(decomp.groups.size(), 4u);
+
+  std::vector<std::vector<double>> expected(t_count, dc.x);
+  std::vector<std::size_t> expected_live;
+  const std::vector<double> zero_state(dc.x.size(), 0.0);
+  for (const SourceGroup& group : decomp.groups) {
+    MatexCircuitSolver node(*f.mna, opt.solver, dc.g_factors);
+    const GroupInput input(*f.mna, group.members, opt.t_start);
+    std::size_t ti = 0;
+    std::size_t leading_zero_rows = 0;
+    bool live = false;
+    node.run(zero_state, opt.t_start, opt.t_end, input, opt.output_times,
+             [&](double /*t*/, std::span<const double> x) {
+               live = live || std::any_of(x.begin(), x.end(),
+                                          [](double v) { return v != 0.0; });
+               if (!live) ++leading_zero_rows;
+               for (std::size_t j = 0; j < x.size(); ++j)
+                 expected[ti][j] += x[j];
+               ++ti;
+             });
+    ASSERT_EQ(ti, t_count);
+    expected_live.push_back(t_count - leading_zero_rows);
+  }
+  // The latest bump (t = 1.3) keeps its group zero for over half the rows.
+  EXPECT_LT(*std::min_element(expected_live.begin(), expected_live.end()),
+            t_count / 2);
+
+  const auto expect_group_sum = [&] {
+    StateRecorder rec;
+    const auto result = run_distributed_matex(*f.mna, opt, rec.observer());
+    ASSERT_EQ(rec.sample_count(), t_count);
+    for (std::size_t i = 0; i < t_count; ++i)
+      for (std::size_t j = 0; j < rec.state(i).size(); ++j)
+        EXPECT_EQ(rec.state(i)[j], expected[i][j])
+            << "t=" << rec.times()[i] << " unknown " << j;
+    ASSERT_EQ(result.nodes.size(), expected_live.size());
+    for (std::size_t g = 0; g < result.nodes.size(); ++g) {
+      EXPECT_EQ(result.nodes[g].live_rows, expected_live[g]) << "group " << g;
+      EXPECT_LT(result.nodes[g].live_rows, t_count) << "group " << g;
+    }
+  };
+  for (const int parallelism : {1, 2, 4}) {
+    SCOPED_TRACE(::testing::Message() << "parallelism " << parallelism);
+    opt.parallelism = parallelism;
+    expect_group_sum();
+  }
+  runtime::ThreadPool pool(3);
+  opt.pool = &pool;
+  SCOPED_TRACE("shared pool");
+  expect_group_sum();
 }
 
 TEST(Scheduler, ParallelWithSharedFactorizations) {

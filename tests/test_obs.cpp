@@ -300,6 +300,22 @@ TEST_F(ObsTest, PaperProtocolRunFactorsOnceAndRefillsPerNode) {
       EXPECT_FALSE(contains(ev, order));
     }
   }
+
+  // Every node's write-back (here in place at the merge frontier, since
+  // nodes run sequentially) leaves one superpose event carrying the live
+  // rows it added.
+  std::vector<int> superposes(result.group_count, 0);
+  for (const JsonValue& ev : doc.at("traceEvents").array) {
+    if (ev.at("name").as_string() != "superpose") continue;
+    const auto node =
+        static_cast<std::size_t>(ev.at("args").at("node").as_number());
+    ASSERT_LT(node, result.group_count);
+    ++superposes[node];
+    EXPECT_EQ(ev.at("args").at("rows").as_number(),
+              static_cast<double>(result.nodes[node].live_rows));
+  }
+  for (std::size_t g = 0; g < result.group_count; ++g)
+    EXPECT_EQ(superposes[g], 1) << "node " << g;
 }
 
 TEST_F(ObsTest, WaveformsBitwiseIdenticalTracingOnOrOff) {
