@@ -786,7 +786,12 @@ int main(int argc, char** argv) try {
     opt.output_times = grid;
     opt.cancel = &run_cancel;
     if (cli.threads >= 0) opt.parallelism = cli.threads;
-    dist_result = core::run_distributed_matex(mna, opt, observer);
+    // Probe-only run: evaluate and sum just the probe rows.
+    opt.output_rows = solver::probe_rows(probe_idx);
+    solver::ProbeRecorder compact(
+        solver::probe_positions(probe_idx, opt.output_rows));
+    dist_result = core::run_distributed_matex(mna, opt, compact.observer());
+    recorder = std::move(compact);
     std::fprintf(stderr,
                  "distributed: %zu nodes on %d workers, "
                  "max node transient %.4f s\n",

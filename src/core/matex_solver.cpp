@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <optional>
 
 #include "la/error.hpp"
 #include "la/vector_ops.hpp"
@@ -40,6 +42,13 @@ la::CscMatrix regularize_c(const la::CscMatrix& c, double delta,
 }
 
 }  // namespace
+
+bool valid_output_rows(std::span<const la::index_t> rows, std::size_t n) {
+  return std::adjacent_find(rows.begin(), rows.end(),
+                            std::greater_equal<>()) == rows.end() &&
+         (rows.empty() ||
+          (rows.front() >= 0 && static_cast<std::size_t>(rows.back()) < n));
+}
 
 MatexCircuitSolver::MatexCircuitSolver(const circuit::MnaSystem& mna,
                                        MatexOptions options,
@@ -114,6 +123,13 @@ MatexCircuitSolver::MatexCircuitSolver(const circuit::MnaSystem& mna,
         options_.lu_options);
     ++setup_factorizations_;
   }
+  // DAE consistency guard, checked by run() against each initial state.
+  std::vector<char> c_row_empty(static_cast<std::size_t>(mna.dimension()), 1);
+  for (la::index_t p = 0; p < mna.c().nnz(); ++p)
+    c_row_empty[static_cast<std::size_t>(mna.c().row_idx()[p])] = 0;
+  for (std::size_t i = 0; i < c_row_empty.size(); ++i)
+    if (c_row_empty[i]) algebraic_rows_.push_back(i);
+  g_norm1_ = mna.g().norm1();
   setup_seconds_ = sw.seconds();
 }
 
@@ -121,6 +137,20 @@ solver::TransientStats MatexCircuitSolver::run(
     std::span<const double> x0, double t_start, double t_end,
     const InputView& input, std::span<const double> eval_times,
     const solver::Observer& observer) {
+  // One full-state row in flight, handed to the observer once complete.
+  std::vector<double> row(static_cast<std::size_t>(mna_->dimension()));
+  OutputSink sink;
+  sink.max_batch = 1;
+  sink.row = [&](std::size_t) { return row.data(); };
+  if (observer)
+    sink.done = [&](std::size_t k) { observer(eval_times[k], row); };
+  return run(x0, t_start, t_end, input, eval_times, sink);
+}
+
+solver::TransientStats MatexCircuitSolver::run(
+    std::span<const double> x0, double t_start, double t_end,
+    const InputView& input, std::span<const double> eval_times,
+    const OutputSink& sink) {
   const char* kind_name =
       options_.kind == krylov::KrylovKind::kRational   ? "rmatex"
       : options_.kind == krylov::KrylovKind::kInverted ? "imatex"
@@ -144,6 +174,11 @@ solver::TransientStats MatexCircuitSolver::run(
     MATEX_CHECK(eval_times.front() >= t_start - t_eps &&
                     eval_times.back() <= t_end + t_eps,
                 "eval_times must lie within [t_start, t_end]");
+  const std::span<const la::index_t> rows = sink.rows;
+  MATEX_CHECK(valid_output_rows(rows, n),
+              "output rows must be sorted, unique and in range");
+  MATEX_CHECK(sink.row != nullptr && sink.max_batch >= 1,
+              "output sink needs a row() and max_batch >= 1");
 
   solver::TransientStats stats;
   solver::Stopwatch transient_clock;
@@ -157,19 +192,16 @@ solver::TransientStats MatexCircuitSolver::run(
   // no classical solution and the exponential propagator would amplify
   // the inconsistent component without bound. (Start from the DC
   // operating point, or from the zero state with zero initial input.)
-  {
-    std::vector<char> c_row_empty(n, 1);
-    for (la::index_t p = 0; p < mna_->c().nnz(); ++p)
-      c_row_empty[static_cast<std::size_t>(mna_->c().row_idx()[p])] = 0;
+  if (!algebraic_rows_.empty()) {
     std::vector<double> u0(static_cast<std::size_t>(input.count()));
     input.value(t_start, u0);
     std::vector<double> r(n);
     mna_->b().multiply(u0, r);
     mna_->g().multiply_add(-1.0, x0, r);
-    const double scale = mna_->g().norm1() * (la::norm_inf(x0) + 1e-300) +
-                         la::norm_inf(r) + 1e-300;
-    for (std::size_t i = 0; i < n; ++i)
-      MATEX_CHECK(!c_row_empty[i] || std::abs(r[i]) <= 1e-6 * scale,
+    const double scale =
+        g_norm1_ * (la::norm_inf(x0) + 1e-300) + la::norm_inf(r) + 1e-300;
+    for (const std::size_t i : algebraic_rows_)
+      MATEX_CHECK(std::abs(r[i]) <= 1e-6 * scale,
                   "initial state is inconsistent with the algebraic "
                   "constraints of the DAE (row " +
                       std::to_string(i) +
@@ -189,15 +221,41 @@ solver::TransientStats MatexCircuitSolver::run(
   std::sort(bounds.begin(), bounds.end());
   bounds.erase(std::unique(bounds.begin(), bounds.end()), bounds.end());
 
+  // --- output delivery. Before the first live point (see
+  // OutputSink::skip_leading_zero_rows) a point is checked on its full
+  // state; from then on only the declared rows are ever evaluated.
+  bool live = !sink.skip_leading_zero_rows;
+  const auto is_zero = [](std::span<const double> state) {
+    return std::all_of(state.begin(), state.end(),
+                       [](double v) { return v == 0.0; });
+  };
+  // Delivers point k from a full state vector.
+  const auto deliver_state = [&](std::size_t k,
+                                 std::span<const double> state) {
+    if (!live) {
+      if (is_zero(state)) return;
+      live = true;
+    }
+    double* dst = sink.row(k);
+    const std::size_t width = rows.empty() ? n : rows.size();
+    for (std::size_t r = 0; r < width; ++r) {
+      const double v =
+          state[rows.empty() ? r : static_cast<std::size_t>(rows[r])];
+      if (sink.accumulate)
+        dst[r] += v;
+      else
+        dst[r] = v;
+    }
+    if (sink.done) sink.done(k);
+  };
+
   std::vector<double> x(x0.begin(), x0.end());
   std::size_t eval_idx = 0;
   const auto emit_at_or_before = [&](double t_bound,
                                      std::span<const double> state) {
     while (eval_idx < eval_times.size() &&
-           eval_times[eval_idx] <= t_bound + t_eps) {
-      if (observer) observer(eval_times[eval_idx], state);
-      ++eval_idx;
-    }
+           eval_times[eval_idx] <= t_bound + t_eps)
+      deliver_state(eval_idx++, state);
   };
   emit_at_or_before(t_start, x);
 
@@ -248,6 +306,13 @@ solver::TransientStats MatexCircuitSolver::run(
   aopts.check_stride = options_.check_stride;
   aopts.throw_on_stall = false;
 
+  // One subspace object for the whole run: each segment rebuilds it in
+  // place, keeping its basis storage and expm scratch.
+  krylov::KrylovSubspace space;
+  const krylov::AffineTerm particular{w1, ws, w2};
+  std::vector<krylov::BatchPoint> batch;
+  batch.reserve(sink.max_batch);
+
   for (std::size_t seg = 0; seg + 1 < bounds.size(); ++seg) {
     runtime::poll_cancel(options_.cancel);
     MATEX_FAILPOINT("solver.step");
@@ -281,7 +346,7 @@ solver::TransientStats MatexCircuitSolver::run(
 
     // --- Krylov subspace at the segment's LTS (Alg. 2 line 7).
     for (std::size_t i = 0; i < n; ++i) v[i] = x[i] - w1[i] + w2[i];
-    auto space = krylov::arnoldi(*op_, v, h_seg, aopts);
+    krylov::arnoldi(space, *op_, v, h_seg, aopts);
     if (!space.converged()) {
       krylov::ArnoldiOptions extended = aopts;
       extended.max_dim = static_cast<int>(
@@ -298,24 +363,50 @@ solver::TransientStats MatexCircuitSolver::run(
         dim_hist->record(static_cast<double>(space.dim()));
     }
 
-    // --- evaluate by reuse at every point inside the segment
-    // (Alg. 2 line 11) and at the segment end.
-    const auto eval_at = [&](double te, std::span<double> out) {
-      const double ha = te - l;
-      space.evaluate(ha, out);
-      for (std::size_t i = 0; i < n; ++i)
-        out[i] += w1[i] + ha * ws[i] - w2[i];
-      ++stats.steps;
+    // --- evaluate by reuse at every point inside the segment (Alg. 2
+    // line 11), then at the segment end, whose full state seeds the next
+    // segment and serves the points that coincide with it.
+    std::size_t interior_end = eval_idx;
+    while (interior_end < eval_times.size() &&
+           eval_times[interior_end] < r - t_eps)
+      ++interior_end;
+    std::size_t points_end = interior_end;
+    while (points_end < eval_times.size() &&
+           eval_times[points_end] <= r + t_eps)
+      ++points_end;
+    std::optional<obs::Span> eval_span;
+    if (points_end > eval_idx)
+      eval_span.emplace("evaluate", "points", points_end - eval_idx, "rows",
+                        rows.empty() ? n : rows.size(), "m", space.dim());
+    // With the start vector and particular terms all zero the state is
+    // exactly zero (the evaluation would add nothing to +0.0).
+    const bool quiet =
+        space.trivial() && w1_pattern.empty() && ws_pattern.empty();
+    const auto full_state_at = [&](double h) {
+      const krylov::BatchPoint point{h, y.data()};
+      space.evaluate_batch({&point, 1}, {}, particular, false);
     };
-    while (eval_idx < eval_times.size() &&
-           eval_times[eval_idx] < r - t_eps) {
-      const double te = eval_times[eval_idx];
-      eval_at(te, y);
-      if (observer) observer(te, y);
-      ++eval_idx;
+    for (; eval_idx < interior_end && !live; ++eval_idx) {
+      ++stats.steps;
+      if (quiet) continue;
+      full_state_at(eval_times[eval_idx] - l);
+      deliver_state(eval_idx, y);
     }
-    eval_at(r, y);
-    x = y;
+    while (eval_idx < interior_end) {
+      const std::size_t k_end =
+          std::min(interior_end, eval_idx + sink.max_batch);
+      batch.clear();
+      for (std::size_t k = eval_idx; k < k_end; ++k)
+        batch.push_back({eval_times[k] - l, sink.row(k)});
+      space.evaluate_batch(batch, rows, particular, sink.accumulate);
+      if (sink.done)
+        for (std::size_t k = eval_idx; k < k_end; ++k) sink.done(k);
+      stats.steps += static_cast<long long>(k_end - eval_idx);
+      eval_idx = k_end;
+    }
+    full_state_at(h_seg);
+    ++stats.steps;
+    std::swap(x, y);
     emit_at_or_before(r, x);
   }
 

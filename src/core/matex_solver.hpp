@@ -24,12 +24,19 @@
 /// e^{h_a H_m} (Alg. 2 line 11); if a reuse evaluation misses the error
 /// budget the basis is extended in place, never rebuilt.
 ///
+/// Each segment evaluates all of its output points in one batched, fused
+/// pass over the basis (KrylovSubspace::evaluate_batch): only the rows the
+/// caller reads, written straight into the caller's destination rows
+/// (OutputSink). The full state is formed once per segment end, where it
+/// seeds the next Krylov start vector.
+///
 /// When the solver is at equilibrium inside a quiet segment the Krylov
 /// start vector x + F is exactly zero and evaluation is free -- this is
 /// why a subtask that only owns one bump does essentially no work outside
 /// its own LTS (the distributed speedup of Sec. 3.4).
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -83,6 +90,34 @@ struct MatexOptions {
   const runtime::CancelToken* cancel = nullptr;
 };
 
+/// Where MatexCircuitSolver::run() delivers its output points. Point k
+/// (the k-th evaluation time) is written into row(k): entry r receives the
+/// state's entry rows[r], or entry r when `rows` is empty.
+struct OutputSink {
+  /// Sorted, duplicate-free unknown indices to deliver; empty = the full
+  /// state. Only these rows are evaluated at the output points.
+  std::span<const la::index_t> rows;
+  /// Add into the destination (true) or overwrite it (false).
+  bool accumulate = false;
+  /// Drop the output points before the first whose full state has a
+  /// nonzero entry: row() is first called for that point, and then for
+  /// every later one. (A superposition subtask's response is exactly zero
+  /// until its first transition spot.)
+  bool skip_leading_zero_rows = false;
+  /// Destination row of point k. Called in increasing k; the row must
+  /// stay valid until done(k).
+  std::function<double*(std::size_t k)> row;
+  /// Optional: called once point k's row is complete, in increasing k.
+  std::function<void(std::size_t k)> done;
+  /// Most points in flight between row() and done() (>= 1). Points are
+  /// evaluated in batches of up to this many.
+  std::size_t max_batch = 64;
+};
+
+/// True if `rows` is sorted, duplicate-free and within [0, n): a valid
+/// OutputSink::rows or SchedulerOptions::output_rows.
+bool valid_output_rows(std::span<const la::index_t> rows, std::size_t n);
+
 /// MATEX transient solver for one computing node (Alg. 2).
 class MatexCircuitSolver {
  public:
@@ -117,6 +152,14 @@ class MatexCircuitSolver {
                              std::span<const double> eval_times,
                              const solver::Observer& observer);
 
+  /// The same run, delivering the output points into `sink` instead of
+  /// calling an observer with the full state (the observer form is this
+  /// one with one full-state row in flight).
+  solver::TransientStats run(std::span<const double> x0, double t_start,
+                             double t_end, const InputView& input,
+                             std::span<const double> eval_times,
+                             const OutputSink& sink);
+
   /// Number of factorizations performed at construction (the serial cost
   /// the paper excludes from "pure transient computing"), full ones and
   /// numeric refills along a shared symbolic analysis alike. With a
@@ -135,6 +178,10 @@ class MatexCircuitSolver {
   la::CscMatrix c_regularized_;  // only populated for MEXP + singular C
   std::unique_ptr<krylov::CircuitOperator> op_;
   std::shared_ptr<la::SparseLU> g_factors_;
+  // DAE consistency guard: the rows of C without entries (algebraic
+  // constraints), ascending, and ||G||_1 for the residual scale.
+  std::vector<std::size_t> algebraic_rows_;
+  double g_norm1_ = 0.0;
   int setup_factorizations_ = 0;
   int setup_cache_hits_ = 0;
   double setup_seconds_ = 0.0;

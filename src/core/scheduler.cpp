@@ -32,6 +32,11 @@ DistributedResult run_distributed_matex(const circuit::MnaSystem& mna,
   DistributedResult result;
   const std::size_t n = static_cast<std::size_t>(mna.dimension());
   const std::size_t t_count = options.output_times.size();
+  const std::vector<la::index_t>& rows = options.output_rows;
+  MATEX_CHECK(valid_output_rows(rows, n),
+              "output_rows must be sorted, unique and in range");
+  // Entries per output row: the declared rows, or the full state.
+  const std::size_t width = rows.empty() ? n : rows.size();
 
   // Node solvers poll the run's token at step granularity; inherit an
   // already-set MatexOptions.cancel when the caller threaded one directly.
@@ -71,8 +76,12 @@ DistributedResult run_distributed_matex(const circuit::MnaSystem& mna,
   result.group_count = decomp.groups.size();
   result.nodes.resize(decomp.groups.size());
 
-  // Superposition accumulator, seeded with the DC (task-0) contribution.
-  std::vector<std::vector<double>> accum(t_count, dc.x);
+  // Superposition accumulator, one row of `width` entries per output
+  // time, seeded with the DC (task-0) contribution.
+  std::vector<double> dc_row(width);
+  for (std::size_t r = 0; r < width; ++r)
+    dc_row[r] = dc.x[rows.empty() ? r : static_cast<std::size_t>(rows[r])];
+  std::vector<std::vector<double>> accum(t_count, dc_row);
 
   // Shared-factorization mode constructs one solver up front; the
   // paper-faithful distributed mode lets every node factorize locally
@@ -110,10 +119,11 @@ DistributedResult run_distributed_matex(const circuit::MnaSystem& mna,
   // is independent of the parallelism setting. The merge frontier
   // (merge_next) is the lowest-index group not yet merged. A node that is
   // the frontier when it starts owns `accum` until it finishes (nobody
-  // can merge past it), so it adds each live row straight into `accum`
-  // from its observer: no buffer, no second pass. Sequential runs take
-  // this path for every node. A node that starts out of turn stages its
-  // live rows compactly in a t_count x n buffer, and whoever advances the
+  // can merge past it), so its solver adds each live row straight into
+  // `accum` as it evaluates it: no buffer, no second pass. Sequential
+  // runs take this path for every node. A node that starts out of turn
+  // has its solver write its live rows compactly into a t_count x width
+  // buffer, and whoever advances the
   // frontier to it drains it, together with any successors parked behind
   // it. A node's live rows are its output from the first row with a
   // nonzero entry on: before its first transition spot its response from
@@ -171,7 +181,7 @@ DistributedResult run_distributed_matex(const circuit::MnaSystem& mna,
     // Neither a fresh nor a recycled buffer is zeroed: the node writes
     // every live row before the drain reads it, so only those pages fault.
     if (!in_place && !node_buffer)
-      node_buffer = std::make_unique_for_overwrite<double[]>(t_count * n);
+      node_buffer = std::make_unique_for_overwrite<double[]>(t_count * width);
 
     solver::Stopwatch node_clock;
     MatexCircuitSolver* node_solver = shared_solver.get();
@@ -184,32 +194,26 @@ DistributedResult run_distributed_matex(const circuit::MnaSystem& mna,
       node_solver = local.get();
     }
 
-    std::size_t emit_idx = 0;
+    // The solver evaluates only the declared rows and writes each live
+    // output row into its destination: added into `accum` at the
+    // frontier, stored into the staging buffer otherwise.
     std::size_t first_live = t_count;  // t_count until a live row arrives
-    double add_seconds = 0.0;
-    auto stats = node_solver->run(
-        zero_state, options.t_start, options.t_end, input,
-        options.output_times,
-        [&](double /*t*/, std::span<const double> x) {
-          MATEX_CHECK(emit_idx < t_count, "node emitted past the output grid");
-          const std::size_t ti = emit_idx++;
-          if (first_live == t_count) {
-            if (std::all_of(x.begin(), x.end(),
-                            [](double v) { return v == 0.0; }))
-              return;
-            first_live = ti;
-          }
-          if (in_place) {
-            solver::Stopwatch add_clock;
-            double* row = accum[ti].data();
-            for (std::size_t i = 0; i < n; ++i) row[i] += x[i];
-            add_seconds += add_clock.seconds();
-          } else {
-            std::copy(x.begin(), x.end(),
-                      node_buffer.get() + (ti - first_live) * n);
-          }
-        });
-    MATEX_CHECK(emit_idx == t_count, "node did not emit every output time");
+    std::size_t delivered = 0;
+    OutputSink sink;
+    sink.rows = rows;
+    sink.accumulate = in_place;
+    sink.skip_leading_zero_rows = true;
+    sink.row = [&](std::size_t ti) {
+      if (first_live == t_count) first_live = ti;
+      ++delivered;
+      return in_place ? accum[ti].data()
+                      : node_buffer.get() + (ti - first_live) * width;
+    };
+    auto stats = node_solver->run(zero_state, options.t_start,
+                                  options.t_end, input,
+                                  options.output_times, sink);
+    MATEX_CHECK(delivered == t_count - first_live,
+                "node did not deliver every live output row");
     const double node_total = node_clock.seconds();
 
     NodeReport report;
@@ -236,7 +240,6 @@ DistributedResult run_distributed_matex(const circuit::MnaSystem& mna,
     result.aggregate.merge(report.stats);
     result.nodes[gi] = std::move(report);
     if (in_place) {
-      ms.superposition_seconds += add_seconds;
       ++ms.merge_next;
     } else {
       ms.staged.emplace(gi,
@@ -251,8 +254,9 @@ DistributedResult run_distributed_matex(const circuit::MnaSystem& mna,
       solver::Stopwatch sup_clock;
       for (std::size_t ti = next.first_live; ti < t_count; ++ti) {
         double* row = accum[ti].data();
-        const double* src = next.rows.get() + (ti - next.first_live) * n;
-        for (std::size_t i = 0; i < n; ++i) row[i] += src[i];
+        const double* src =
+            next.rows.get() + (ti - next.first_live) * width;
+        for (std::size_t i = 0; i < width; ++i) row[i] += src[i];
       }
       ms.superposition_seconds += sup_clock.seconds();
       if (ms.started + ms.free_buffers.size() < group_count)

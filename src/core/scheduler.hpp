@@ -26,11 +26,21 @@
 /// Only live rows are written back. A node starts from the zero state, so
 /// before its first transition spot its response is exactly zero; its
 /// leading all-zero output rows are neither stored nor added. The node at
-/// the merge frontier (the lowest-index group not yet merged) adds each
-/// live row straight into the accumulator as its solver emits it, with no
-/// buffer and no second pass; with sequential nodes every node is the
+/// the merge frontier (the lowest-index group not yet merged) has its
+/// solver add each live row straight into the accumulator as it evaluates
+/// it (one fused pass, no buffer); with sequential nodes every node is the
 /// frontier. A node that starts out of turn stages its live rows and is
 /// merged when the frontier reaches it.
+///
+/// Output rows: an observer that reads only some unknowns (probes)
+/// declares them in SchedulerOptions::output_rows, sorted and without
+/// duplicates. Then the accumulator, every staging buffer and every
+/// output row the observer receives hold just those entries, in that
+/// order (rows.size() wide instead of n), and the nodes evaluate only
+/// those rows at the output points. Each entry is computed by the same
+/// operations as in a full-state run, so a declared row's waveform is
+/// ==-equal to that row of the full-state waveform. Leave output_rows
+/// empty to receive the full state.
 #pragma once
 
 #include <memory>
@@ -59,6 +69,11 @@ struct SchedulerOptions {
   /// Output grid: the scheduler's observer receives the summed solution at
   /// these times. Must be sorted.
   std::vector<double> output_times;
+  /// The unknowns the observer reads, sorted and duplicate-free; empty =
+  /// the full state. When set, the observer receives output_rows.size()
+  /// entries per output time, entry r being unknown output_rows[r] (see
+  /// the file comment).
+  std::vector<la::index_t> output_rows;
   /// If true, all emulated nodes share one set of factorizations (what a
   /// shared-memory implementation would do). The paper's distributed
   /// setting is `false`: every node factorizes its local copy.
@@ -125,7 +140,9 @@ struct DistributedResult {
   double max_node_transient_seconds = 0.0;
   /// Max per-node total time (incl. that node's factorizations).
   double max_node_total_seconds = 0.0;
-  /// Scheduler-side superposition cost.
+  /// Scheduler-side superposition cost: draining staged nodes. A
+  /// frontier node's adds are fused into its evaluation and count toward
+  /// its transient time instead.
   double superposition_seconds = 0.0;
   /// DC analysis cost (shared preprocessing).
   double dc_seconds = 0.0;
@@ -140,7 +157,7 @@ struct DistributedResult {
 
 /// Runs distributed MATEX: DC analysis, decomposition, per-group subtasks,
 /// superposition. The observer receives the *summed* solution on
-/// options.output_times.
+/// options.output_times (the full state, or options.output_rows).
 DistributedResult run_distributed_matex(const circuit::MnaSystem& mna,
                                         const SchedulerOptions& options,
                                         const solver::Observer& observer);

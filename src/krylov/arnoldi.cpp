@@ -34,12 +34,9 @@ void KrylovSubspace::reserve_basis(int max_dim) {
   // memory: columns are resized into existence one iteration at a time
   // (never reallocating thanks to the reservation), so a subspace that
   // converges at small m never pays a max_dim-sized zero-fill. reserve()
-  // preserves existing columns (the stride n never changes).
+  // preserves existing columns and is a no-op once the capacity is there.
   const std::size_t n = static_cast<std::size_t>(op_->dimension());
-  if (vcap_ < max_dim + 1) {
-    vbuf_.reserve(static_cast<std::size_t>(max_dim + 1) * n);
-    vcap_ = max_dim + 1;
-  }
+  vbuf_.reserve(static_cast<std::size_t>(max_dim + 1) * n);
   if (op_work_.size() != n) op_work_.resize(n);
 }
 
@@ -77,38 +74,95 @@ void KrylovSubspace::finalize() {
   }
 }
 
-std::vector<double> KrylovSubspace::small_solution(double h) const {
-  MATEX_CHECK(m_ > 0, "subspace is empty");
-  return la::expm_e1(hm_, h);
-}
-
 double KrylovSubspace::error_estimate(double h) const {
   if (trivial() || breakdown_) return 0.0;
-  const auto w = small_solution(h);
+  const auto w = expm_.e1(hm_, h);
   double fw = 0.0;
   for (std::size_t i = 0; i < w.size(); ++i) fw += err_f_[i] * w[i];
   return beta_ * err_scale_ * std::abs(fw);
 }
 
-void KrylovSubspace::combine(std::span<const double> w,
-                             std::span<double> y) const {
-  la::set_zero(y);
-  if (trivial()) return;
-  MATEX_CHECK(w.size() == static_cast<std::size_t>(m_));
-  for (int j = 0; j < m_; ++j)
-    la::axpy(beta_ * w[static_cast<std::size_t>(j)], col(j), y);
+namespace {
+
+/// Rows per block of evaluate_batch(): the block's slice of V_m (m x 256
+/// doubles) stays in L1 while every point of the batch streams over it.
+constexpr std::size_t kRowBlock = 256;
+
+/// evaluate_batch() on rows [r0, r1) of one point; kGather selects the
+/// declared-rows form (entry r reads unknown rows[r]).
+template <bool kGather>
+void fused_block(const double* basis, std::size_t n,
+                 std::span<const double> coeff, const la::index_t* rows,
+                 std::size_t r0, std::size_t r1, const AffineTerm& term,
+                 double h, double* out, bool accumulate) {
+  const auto unknown = [&](std::size_t r) {
+    return kGather ? static_cast<std::size_t>(rows[r]) : r;
+  };
+  double t[kRowBlock];
+  const std::size_t len = r1 - r0;
+  for (std::size_t r = 0; r < len; ++r) t[r] = 0.0;
+  for (std::size_t j = 0; j < coeff.size(); ++j) {
+    const double a = coeff[j];
+    const double* v = basis + j * n;
+    for (std::size_t r = 0; r < len; ++r) t[r] += a * v[unknown(r0 + r)];
+  }
+  if (!term.p.empty())
+    for (std::size_t r = 0; r < len; ++r) {
+      const std::size_t i = unknown(r0 + r);
+      t[r] += term.p[i] + h * term.q[i] - term.s[i];
+    }
+  double* dst = out + r0;
+  if (accumulate)
+    for (std::size_t r = 0; r < len; ++r) dst[r] += t[r];
+  else
+    for (std::size_t r = 0; r < len; ++r) dst[r] = t[r];
+}
+
+}  // namespace
+
+void KrylovSubspace::evaluate_batch(std::span<const BatchPoint> points,
+                                    std::span<const la::index_t> rows,
+                                    const AffineTerm& term,
+                                    bool accumulate) const {
+  MATEX_CHECK(op_ != nullptr, "subspace was not built by arnoldi()");
+  const std::size_t n = static_cast<std::size_t>(op_->dimension());
+  MATEX_CHECK(term.p.empty() || (term.p.size() == n && term.q.size() == n &&
+                                 term.s.size() == n),
+              "affine term dimension mismatch");
+  const std::size_t width = rows.empty() ? n : rows.size();
+  // A trivial subspace contributes no basis terms: t = 0 + term.
+  const std::size_t m = trivial() ? 0 : static_cast<std::size_t>(m_);
+  small_.resize(points.size() * m);
+  if (m > 0)
+    for (std::size_t k = 0; k < points.size(); ++k) {
+      const auto w = expm_.e1(hm_, points[k].h);
+      std::copy(w.begin(), w.end(), small_.begin() + k * m);
+    }
+  coeff_.resize(m);
+  for (std::size_t r0 = 0; r0 < width; r0 += kRowBlock) {
+    const std::size_t r1 = std::min(width, r0 + kRowBlock);
+    for (std::size_t k = 0; k < points.size(); ++k) {
+      for (std::size_t j = 0; j < m; ++j)
+        coeff_[j] = beta_ * small_[k * m + j];
+      if (rows.empty())
+        fused_block<false>(vbuf_.data(), n, coeff_, nullptr, r0, r1, term,
+                           points[k].h, points[k].out, accumulate);
+      else
+        fused_block<true>(vbuf_.data(), n, coeff_, rows.data(), r0, r1,
+                          term, points[k].h, points[k].out, accumulate);
+    }
+  }
 }
 
 double KrylovSubspace::evaluate(double h, std::span<double> y) const {
-  if (trivial()) {
-    la::set_zero(y);
-    return 0.0;
-  }
-  const auto w = small_solution(h);
-  combine(w, y);
-  if (breakdown_) return 0.0;
+  MATEX_CHECK(op_ != nullptr &&
+                  y.size() == static_cast<std::size_t>(op_->dimension()),
+              "evaluation vector dimension mismatch");
+  const BatchPoint point{h, y.data()};
+  evaluate_batch({&point, 1}, {}, {}, false);
+  if (trivial() || breakdown_) return 0.0;
   double fw = 0.0;
-  for (std::size_t i = 0; i < w.size(); ++i) fw += err_f_[i] * w[i];
+  for (std::size_t i = 0; i < err_f_.size(); ++i) fw += err_f_[i] * small_[i];
   return beta_ * err_scale_ * std::abs(fw);
 }
 
@@ -133,13 +187,13 @@ void KrylovSubspace::grow(double h, const ArnoldiOptions& options) {
   reserve_basis(options.max_dim);
 
   converged_ = false;
-  // Small solution at the previous convergence check. Successive iterates
-  // all live in span(V_m) with V orthonormal, so
+  // Small solution at the previous convergence check (w_prev_). Successive
+  // iterates all live in span(V_m) with V orthonormal, so
   // ||y_m - y_m'|| = beta * ||w_m - pad(w_m')|| exactly; this guards the
   // subdiagonal surrogate, which can be spuriously tiny on stiff systems
   // when h*H_m is strongly negative (the standard-basis failure mode the
   // paper describes in Sec. 2.4).
-  std::vector<double> w_prev;
+  w_prev_.clear();
   const auto check_converged = [&](double step) {
     // Hump-aware residual surrogate: beta * |h_{m+1,m}| * max_s |(e^{sH})_{m,1}|
     // sampled at the dyadic intermediate times of the scaling-and-squaring
@@ -151,18 +205,19 @@ void KrylovSubspace::grow(double h, const ArnoldiOptions& options) {
     // eigenvector of the inverted/rational operator, and forcing one more
     // Arnoldi step would pull a constraint direction into the basis and
     // make H' numerically singular (Sec. 3.3.3 relies on stopping early).
-    const auto hump = la::expm_e1_hump(hm_, step, err_f_);
-    double est = beta_ * err_scale_ * hump.hump_last_entry;
-    if (!w_prev.empty()) {
+    double hump = 0.0;
+    const auto w = expm_.e1_hump(hm_, step, err_f_, hump);
+    double est = beta_ * err_scale_ * hump;
+    if (!w_prev_.empty()) {
       // Cauchy safeguard: ||y_m - y_m'|| = beta * ||w_m - pad(w_m')||.
       double diff2 = 0.0;
-      for (std::size_t i = 0; i < hump.w.size(); ++i) {
-        const double d = hump.w[i] - (i < w_prev.size() ? w_prev[i] : 0.0);
+      for (std::size_t i = 0; i < w.size(); ++i) {
+        const double d = w[i] - (i < w_prev_.size() ? w_prev_[i] : 0.0);
         diff2 += d * d;
       }
       est = std::max(est, beta_ * std::sqrt(diff2));
     }
-    w_prev = hump.w;
+    w_prev_.assign(w.begin(), w.end());
     return est < options.tolerance;
   };
   const std::size_t n = static_cast<std::size_t>(op_->dimension());
@@ -239,28 +294,45 @@ void KrylovSubspace::grow(double h, const ArnoldiOptions& options) {
         std::to_string(options.max_dim));
 }
 
-KrylovSubspace arnoldi(const CircuitOperator& op, std::span<const double> v0,
-                       double h, const ArnoldiOptions& options) {
+void arnoldi(KrylovSubspace& s, const CircuitOperator& op,
+             std::span<const double> v0, double h,
+             const ArnoldiOptions& options) {
   obs::Span span("arnoldi", "n", op.dimension(), "h", h);
-  MATEX_CHECK(v0.size() == static_cast<std::size_t>(op.dimension()),
-              "starting vector dimension mismatch");
-  KrylovSubspace s;
+  const std::size_t n = static_cast<std::size_t>(op.dimension());
+  MATEX_CHECK(v0.size() == n, "starting vector dimension mismatch");
   s.op_ = &op;
+  s.m_ = 0;
+  s.ops_ = 0;
+  s.vcount_ = 0;
+  s.subdiag_ = 0.0;
+  s.err_scale_ = 0.0;
+  s.breakdown_ = false;
+  s.converged_ = false;
   s.beta_ = la::norm2(v0);
   if (s.beta_ == 0.0) {
     s.converged_ = true;
-    return s;  // trivial subspace: evaluations are identically zero
+    return;  // trivial subspace: evaluations are identically zero
   }
-  s.h_hat_ = la::DenseMatrix(static_cast<std::size_t>(options.max_dim) + 1,
-                             static_cast<std::size_t>(options.max_dim));
+  // A reused projection store needs no clearing: only its Hessenberg
+  // entries (i <= j + 1) are ever written, and this build rewrites every
+  // one that H_m reads; the rest are the zeros it was created with.
+  if (s.h_hat_.cols() < static_cast<std::size_t>(options.max_dim))
+    s.h_hat_ = la::DenseMatrix(static_cast<std::size_t>(options.max_dim) + 1,
+                               static_cast<std::size_t>(options.max_dim));
   s.reserve_basis(options.max_dim);
-  s.vbuf_.resize(static_cast<std::size_t>(op.dimension()));
+  if (s.vbuf_.size() < n) s.vbuf_.resize(n);
   const auto v1 = s.col(0);
   std::copy(v0.begin(), v0.end(), v1.begin());
   la::scale(1.0 / s.beta_, v1);
   s.vcount_ = 1;
   s.grow(h, options);
   span.arg("dim", s.dim()).arg("converged", s.converged_ ? 1 : 0);
+}
+
+KrylovSubspace arnoldi(const CircuitOperator& op, std::span<const double> v0,
+                       double h, const ArnoldiOptions& options) {
+  KrylovSubspace s;
+  arnoldi(s, op, v0, h, options);
   return s;
 }
 

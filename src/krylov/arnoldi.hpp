@@ -14,6 +14,8 @@
 
 #include "krylov/operator.hpp"
 #include "la/dense_matrix.hpp"
+#include "la/expm.hpp"
+#include "la/sparse_csc.hpp"
 
 namespace matex::krylov {
 
@@ -35,8 +37,26 @@ struct ArnoldiOptions {
   bool throw_on_stall = false;
 };
 
+/// The affine term evaluate_batch() adds to every entry, (p + h*q) - s,
+/// from n-wide vectors; empty spans add nothing. MATEX's particular
+/// solution -F(l + h) = w1 + h*ws - w2 has this form.
+struct AffineTerm {
+  std::span<const double> p, q, s;
+};
+
+/// One output point of evaluate_batch().
+struct BatchPoint {
+  double h = 0.0;         ///< step from the start vector
+  double* out = nullptr;  ///< one entry per evaluated row
+};
+
 /// A Krylov subspace K_m(Op, v) together with everything needed to
 /// evaluate x(t+h) = beta * V_m e^{h H_m} e_1 at arbitrary h.
+///
+/// Evaluation reuses scratch held by the subspace (the small exponentials
+/// run on an la::ExpmWorkspace), so concurrent calls on one subspace are
+/// not allowed. Rebuilding a subspace in place (arnoldi(space, ...))
+/// keeps that scratch and the basis storage.
 class KrylovSubspace {
  public:
   /// Returns beta = ||v|| of the starting vector.
@@ -70,11 +90,19 @@ class KrylovSubspace {
   /// `y` must have the operator dimension.
   double evaluate(double h, std::span<double> y) const;
 
-  /// Cheap variant reusing a precomputed small vector w = e^{h H_m} e_1.
-  void combine(std::span<const double> w, std::span<double> y) const;
-
-  /// The small exponential-propagated vector w = e^{h H_m} e_1 (size m).
-  std::vector<double> small_solution(double h) const;
+  /// Batched, fused evaluation of y(h) = beta * V_m e^{h H_m} e_1 + term
+  /// at every point (Alg. 2 line 11 for all output points of a segment),
+  /// restricted to `rows` (sorted unknown indices; empty = all n). Entry r
+  /// of a point's destination receives, for i = rows[r]:
+  ///   t = 0;  t += (beta w_j) V(i, j)  for j = 0..m-1 in order;
+  ///   t += (p_i + h q_i) - s_i;  then out[r] = t, or out[r] += t when
+  ///   `accumulate`.
+  /// That is evaluate() followed by a separate add, operation for
+  /// operation, so no entry depends on the row set or on the batch. Rows
+  /// are processed in cache-sized blocks, each shared by all points.
+  void evaluate_batch(std::span<const BatchPoint> points,
+                      std::span<const la::index_t> rows,
+                      const AffineTerm& term, bool accumulate) const;
 
   /// Posterior error estimate at step h without forming y.
   double error_estimate(double h) const;
@@ -85,9 +113,9 @@ class KrylovSubspace {
   int operator_applications() const { return ops_; }
 
  private:
-  friend KrylovSubspace arnoldi(const CircuitOperator& op,
-                                std::span<const double> v0, double h,
-                                const ArnoldiOptions& options);
+  friend void arnoldi(KrylovSubspace& space, const CircuitOperator& op,
+                      std::span<const double> v0, double h,
+                      const ArnoldiOptions& options);
   friend bool arnoldi_extend(KrylovSubspace& space, double h,
                              const ArnoldiOptions& options);
 
@@ -103,7 +131,6 @@ class KrylovSubspace {
   // Arnoldi iteration, so grow() performs no per-step allocation.
   std::vector<double> vbuf_;
   int vcount_ = 0;     // columns currently held (m_ or m_ + 1)
-  int vcap_ = 0;       // column capacity of vbuf_
   std::vector<double> op_work_;         // persistent apply() workspace
   la::DenseMatrix h_hat_;               // (max_dim+1) x max_dim projections
   la::DenseMatrix hm_;                  // transformed m x m matrix
@@ -111,6 +138,11 @@ class KrylovSubspace {
   // operator factor): estimate(h) = beta * err_scale * |err_f' e^{hH} e1|.
   std::vector<double> err_f_;
   double err_scale_ = 0.0;
+  // Scratch: the small exponentials, the last convergence check's small
+  // solution, and evaluate_batch()'s small solutions and coefficients.
+  mutable la::ExpmWorkspace expm_;
+  std::vector<double> w_prev_;
+  mutable std::vector<double> small_, coeff_;
   double beta_ = 0.0;
   double subdiag_ = 0.0;
   int m_ = 0;
@@ -123,6 +155,14 @@ class KrylovSubspace {
 /// step h is below options.tolerance or m reaches options.max_dim.
 KrylovSubspace arnoldi(const CircuitOperator& op, std::span<const double> v0,
                        double h, const ArnoldiOptions& options = {});
+
+/// The same, rebuilding `space` in place: its basis storage and scratch
+/// are kept, so for a solver marching segment by segment the basis and
+/// the convergence checks allocate nothing once they have reached their
+/// largest size.
+void arnoldi(KrylovSubspace& space, const CircuitOperator& op,
+             std::span<const double> v0, double h,
+             const ArnoldiOptions& options = {});
 
 /// Resumes the Arnoldi process of an existing subspace to satisfy a new
 /// (typically larger) step h. Returns true if the budget was met. The

@@ -9,9 +9,17 @@
 
 namespace matex::la {
 
-DenseLU::DenseLU(DenseMatrix a) : lu_(std::move(a)), piv_(lu_.rows()) {
+DenseLU::DenseLU(DenseMatrix a) : lu_(std::move(a)) { factorize_in_place(); }
+
+void DenseLU::factorize(const DenseMatrix& a) {
+  lu_ = a;
+  factorize_in_place();
+}
+
+void DenseLU::factorize_in_place() {
   MATEX_CHECK(lu_.rows() == lu_.cols(), "LU requires a square matrix");
   const std::size_t n = lu_.rows();
+  piv_.resize(n);
   for (std::size_t k = 0; k < n; ++k) {
     // Partial pivoting: pick the max-magnitude entry in column k.
     std::size_t p = k;

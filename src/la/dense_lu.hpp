@@ -16,9 +16,16 @@ namespace matex::la {
 /// LU factorization P*A = L*U of a square dense matrix.
 class DenseLU {
  public:
+  /// Empty factorization; call factorize() before solving.
+  DenseLU() = default;
+
   /// Factorizes a copy of `a`. Throws NumericalError on an exactly
   /// singular pivot.
   explicit DenseLU(DenseMatrix a);
+
+  /// Refactorizes in place to `a`, reusing this object's storage once it
+  /// has held a factorization of that order (allocation-free reuse).
+  void factorize(const DenseMatrix& a);
 
   /// Solves A x = b in place.
   void solve_in_place(std::span<double> b) const;
@@ -39,6 +46,8 @@ class DenseLU {
   std::size_t order() const { return lu_.rows(); }
 
  private:
+  void factorize_in_place();
+
   DenseMatrix lu_;             // packed L (unit lower) and U
   std::vector<std::size_t> piv_;  // row permutation applied to b
 };

@@ -37,7 +37,7 @@ void DenseMatrix::add_scaled(double a, const DenseMatrix& other) {
 
 DenseMatrix DenseMatrix::scaled(double a) const {
   DenseMatrix r = *this;
-  for (double& v : r.data_) v *= a;
+  r.scale(a);
   return r;
 }
 
@@ -88,26 +88,42 @@ void DenseMatrix::multiply_transpose(std::span<const double> x,
   }
 }
 
+DenseMatrix DenseMatrix::matmul(const DenseMatrix& b) const {
+  DenseMatrix c;
+  c.assign_product(*this, b);
+  return c;
+}
+
+void DenseMatrix::assign_zero(std::size_t rows, std::size_t cols) {
+  rows_ = rows;
+  cols_ = cols;
+  data_.assign(rows * cols, 0.0);
+}
+
 // Starts on a cache-line boundary so its speed does not depend on the
 // rest of the binary. This is the inner kernel of every Krylov step's
 // dense exponential (over half of an I-MATEX node's time at tol = 1e-8),
 // and its short inner loop ran ~30% slower when unrelated code growth
 // elsewhere shifted it by a fraction of a cache line.
-[[gnu::aligned(64)]] DenseMatrix DenseMatrix::matmul(
-    const DenseMatrix& b) const {
-  MATEX_CHECK(cols_ == b.rows_, "inner dimensions must agree");
-  DenseMatrix c(rows_, b.cols_);
+[[gnu::aligned(64)]] void DenseMatrix::assign_product(const DenseMatrix& a,
+                                                      const DenseMatrix& b) {
+  MATEX_CHECK(a.cols_ == b.rows_, "inner dimensions must agree");
+  MATEX_CHECK(this != &a && this != &b, "product must not alias a factor");
+  assign_zero(a.rows_, b.cols_);
   // jki order: C(:,j) += A(:,k) * B(k,j); all accesses unit stride.
   for (std::size_t j = 0; j < b.cols_; ++j) {
-    double* cj = c.data_.data() + j * rows_;
-    for (std::size_t k = 0; k < cols_; ++k) {
+    double* cj = data_.data() + j * rows_;
+    for (std::size_t k = 0; k < a.cols_; ++k) {
       const double bkj = b(k, j);
       if (bkj == 0.0) continue;
-      const double* ak = data_.data() + k * rows_;
+      const double* ak = a.data_.data() + k * rows_;
       for (std::size_t i = 0; i < rows_; ++i) cj[i] += ak[i] * bkj;
     }
   }
-  return c;
+}
+
+void DenseMatrix::scale(double a) {
+  for (double& v : data_) v *= a;
 }
 
 double max_abs_diff(const DenseMatrix& a, const DenseMatrix& b) {

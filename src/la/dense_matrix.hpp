@@ -79,6 +79,17 @@ class DenseMatrix {
   /// Returns A*B.
   DenseMatrix matmul(const DenseMatrix& b) const;
 
+  // In-place forms for allocation-free scratch (la::ExpmWorkspace): each
+  // reuses this matrix's storage once it has held as many entries, and
+  // performs the same arithmetic as its allocating counterpart.
+
+  /// Reshapes to rows x cols, all zero.
+  void assign_zero(std::size_t rows, std::size_t cols);
+  /// this := a * b, the product matmul() returns; must alias neither.
+  void assign_product(const DenseMatrix& a, const DenseMatrix& b);
+  /// this := this * a (element-wise), the values scaled() returns.
+  void scale(double a);
+
  private:
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;

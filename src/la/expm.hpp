@@ -13,9 +13,50 @@
 #include <span>
 #include <vector>
 
+#include "la/dense_lu.hpp"
 #include "la/dense_matrix.hpp"
 
 namespace matex::la {
+
+/// Reusable scratch for repeated small exponentials (the Krylov
+/// evaluation and convergence checks of every MATEX segment). Once it has
+/// served a matrix of order m, further calls at order <= m allocate
+/// nothing. Every result is bitwise equal to the allocating functions
+/// below, which run on a workspace of their own: one implementation.
+///
+/// Where only e^{tA} e_1 is wanted, the last stage (the Pade solve, or
+/// the last squaring) forms column 0 alone; column 0 of a product or of a
+/// column-by-column solve is computed by the same operations either way.
+class ExpmWorkspace {
+ public:
+  /// e^{tA}. Valid until the next call on this workspace.
+  const DenseMatrix& full(const DenseMatrix& a, double t);
+
+  /// e^{tA} e_1. Valid until the next call on this workspace.
+  std::span<const double> e1(const DenseMatrix& a, double t);
+
+  /// e^{tA} e_1, with `hump` set as ExpmE1Hump::hump_last_entry: the max
+  /// over the scaling-and-squaring stages of |f' e^{sA} e_1|, or of the
+  /// last entry when f is empty.
+  std::span<const double> e1_hump(const DenseMatrix& a, double t,
+                                  std::span<const double> f, double& hump);
+
+ private:
+  /// Leaves e^{tA} in r_ (only column 0 of the last stage when
+  /// `first_column_only`), sampling the hump into *hump when non-null.
+  void compute(const DenseMatrix& a, double t, bool first_column_only,
+               std::span<const double> f, double* hump);
+  void low_degree(int degree, bool first_column_only);
+  void pade13(bool first_column_only);
+  /// r_ = (V - U)^{-1} (V + U) from u_ and v_.
+  void pade_solve(bool first_column_only);
+  void set_identity(std::size_t n);
+
+  DenseMatrix at_, eye_, a2_, a4_, a6_, apow_, tmp_, u_, v_, num_;
+  DenseMatrix r_;
+  DenseLU lu_;
+  std::vector<double> col_;  // column 0 of a column-only last stage
+};
 
 /// Returns e^{A} for a square dense matrix.
 DenseMatrix expm(const DenseMatrix& a);

@@ -326,7 +326,11 @@ BatchReport BatchEngine::run(std::span<const ScenarioSpec> scenarios,
           opts.trace_label = trace_label;
           opts.cancel = &scenario_cancel;
 
-          solver::ProbeRecorder recorder(spec.probes);
+          // Probe-only: the run evaluates and sums just the probe rows;
+          // the recorder maps each (possibly repeated) probe to its row.
+          opts.output_rows = solver::probe_rows(spec.probes);
+          solver::ProbeRecorder recorder(
+              solver::probe_positions(spec.probes, opts.output_rows));
           out.distributed = core::run_distributed_matex(
               mna, opts,
               spec.probes.empty() ? solver::Observer()

@@ -25,6 +25,25 @@ void ProbeRecorder::operator()(double t, std::span<const double> x) {
   }
 }
 
+std::vector<la::index_t> probe_rows(std::span<const la::index_t> probes) {
+  std::vector<la::index_t> rows(probes.begin(), probes.end());
+  std::sort(rows.begin(), rows.end());
+  rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+  return rows;
+}
+
+std::vector<la::index_t> probe_positions(std::span<const la::index_t> probes,
+                                         std::span<const la::index_t> rows) {
+  std::vector<la::index_t> positions;
+  positions.reserve(probes.size());
+  for (const la::index_t p : probes) {
+    const auto it = std::lower_bound(rows.begin(), rows.end(), p);
+    MATEX_CHECK(it != rows.end() && *it == p, "probe missing from rows");
+    positions.push_back(static_cast<la::index_t>(it - rows.begin()));
+  }
+  return positions;
+}
+
 std::vector<double> uniform_grid(double t_start, double t_end, double dt) {
   MATEX_CHECK(t_end > t_start && dt > 0.0, "invalid output grid");
   std::vector<double> grid;

@@ -63,6 +63,16 @@ class ProbeRecorder {
   std::vector<std::vector<double>> waveforms_;
 };
 
+/// Sorted, duplicate-free copy of `probes`: the rows a probe-only run
+/// declares (core::SchedulerOptions::output_rows).
+std::vector<la::index_t> probe_rows(std::span<const la::index_t> probes);
+
+/// Position of each probe within `rows` (a probe_rows() result of the
+/// same probes), for a ProbeRecorder that reads the compact row vectors
+/// of a run declaring `rows`.
+std::vector<la::index_t> probe_positions(std::span<const la::index_t> probes,
+                                         std::span<const la::index_t> rows);
+
 /// Uniform output grid: t_start, t_start+dt, ..., t_end (inclusive, with
 /// the last point clamped to t_end).
 std::vector<double> uniform_grid(double t_start, double t_end, double dt);

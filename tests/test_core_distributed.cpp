@@ -15,6 +15,8 @@
 #include "core/matex_solver.hpp"
 #include "core/scheduler.hpp"
 #include "la/error.hpp"
+#include "pgbench/pg_generator.hpp"
+#include "runtime/factor_cache.hpp"
 #include "runtime/thread_pool.hpp"
 #include "solver/dc.hpp"
 #include "solver/fixed_step.hpp"
@@ -485,6 +487,101 @@ TEST(Scheduler, LiveRowSuperpositionMatchesGroupSum) {
   opt.pool = &pool;
   SCOPED_TRACE("shared pool");
   expect_group_sum();
+}
+
+TEST(Scheduler, OutputRowsMatchFullStateEntriesBitwise) {
+  // A probe-only run declares its rows: the nodes evaluate and superpose
+  // only those, and the observer receives them compactly. Unsorted and
+  // repeated probes go through probe_rows/probe_positions. Every probe
+  // waveform must be == to that unknown's entries in the full-state run,
+  // and each node's live rows must not change. The deck is large enough
+  // (n > 700) for the evaluation to span several row blocks.
+  pgbench::PowerGridSpec spec = pgbench::table_benchmark_spec(1);
+  spec.seed = 3;
+  const Netlist netlist = pgbench::generate_power_grid(spec);
+  const MnaSystem mna(netlist);
+  const std::size_t n = static_cast<std::size_t>(mna.dimension());
+  SchedulerOptions opt;
+  opt.t_end = spec.t_window;
+  opt.solver.gamma = 1e-10;
+  opt.solver.tolerance = 1e-6;
+  opt.decomposition.max_groups = 8;
+  opt.output_times = uniform_grid(0.0, spec.t_window, spec.t_window / 200);
+  const std::size_t t_count = opt.output_times.size();
+
+  StateRecorder full;
+  const auto reference = run_distributed_matex(mna, opt, full.observer());
+  ASSERT_EQ(full.sample_count(), t_count);
+  ASSERT_GT(reference.group_count, 2u);
+
+  const std::vector<la::index_t> probes = {
+      static_cast<la::index_t>(n - 1), 5, 400, 5, 0,
+      static_cast<la::index_t>(n / 2), 400, 257, 256};
+  const auto rows = solver::probe_rows(probes);
+  ASSERT_EQ(rows.size(), 7u);
+  ASSERT_TRUE(std::is_sorted(rows.begin(), rows.end()));
+
+  const auto expect_probes = [&](SchedulerOptions o) {
+    o.output_rows = rows;
+    solver::ProbeRecorder rec(solver::probe_positions(probes, rows));
+    std::size_t width = 0;
+    const auto result = run_distributed_matex(
+        mna, o, [&](double t, std::span<const double> x) {
+          width = x.size();
+          rec(t, x);
+        });
+    EXPECT_EQ(width, rows.size());
+    ASSERT_EQ(rec.times().size(), t_count);
+    for (std::size_t p = 0; p < probes.size(); ++p)
+      for (std::size_t i = 0; i < t_count; ++i)
+        EXPECT_EQ(rec.waveform(p)[i],
+                  full.state(i)[static_cast<std::size_t>(probes[p])])
+            << "probe " << probes[p] << " t=" << rec.times()[i];
+    ASSERT_EQ(result.nodes.size(), reference.nodes.size());
+    for (std::size_t g = 0; g < result.nodes.size(); ++g)
+      EXPECT_EQ(result.nodes[g].live_rows, reference.nodes[g].live_rows)
+          << "group " << g;
+    EXPECT_EQ(result.aggregate.solves, reference.aggregate.solves);
+    EXPECT_EQ(result.aggregate.steps, reference.aggregate.steps);
+  };
+  for (const int parallelism : {1, 2, 4}) {
+    SCOPED_TRACE(::testing::Message() << "parallelism " << parallelism);
+    opt.parallelism = parallelism;
+    expect_probes(opt);
+  }
+  runtime::ThreadPool pool(3);
+  runtime::FactorCache cache;
+  {
+    SCOPED_TRACE("shared pool");
+    SchedulerOptions o = opt;
+    o.pool = &pool;
+    expect_probes(o);
+  }
+  {
+    SCOPED_TRACE("shared pool and factor cache");
+    SchedulerOptions o = opt;
+    o.pool = &pool;
+    o.factor_cache = &cache;
+    expect_probes(o);
+  }
+}
+
+TEST(Scheduler, OutputRowsMustBeSortedUniqueAndInRange) {
+  PdnFixture f;
+  SchedulerOptions opt;
+  opt.t_end = 2.0;
+  opt.solver.gamma = 0.05;
+  opt.output_times = uniform_grid(0.0, 2.0, 0.5);
+  const auto n = static_cast<la::index_t>(f.mna->dimension());
+  for (const std::vector<la::index_t>& bad :
+       {std::vector<la::index_t>{2, 1}, std::vector<la::index_t>{1, 1},
+        std::vector<la::index_t>{-1, 0}, std::vector<la::index_t>{0, n}}) {
+    opt.output_rows = bad;
+    EXPECT_THROW(run_distributed_matex(*f.mna, opt, nullptr),
+                 InvalidArgument);
+  }
+  opt.output_rows = {0, n - 1};
+  EXPECT_NO_THROW(run_distributed_matex(*f.mna, opt, nullptr));
 }
 
 TEST(Scheduler, ParallelWithSharedFactorizations) {

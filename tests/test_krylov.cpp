@@ -197,6 +197,61 @@ TEST_P(ArnoldiKindTest, ZeroStartVectorIsTrivial) {
   for (double v : y) EXPECT_DOUBLE_EQ(v, 0.0);
 }
 
+TEST_P(ArnoldiKindTest, BatchedRowEvaluationMatchesFullEvaluationBitwise) {
+  // evaluate_batch() on a row subset, several points, an affine term and
+  // accumulation must reproduce evaluate() plus a separate add, entry for
+  // entry (==), across more rows than one kernel block.
+  const auto [kind, gamma] = GetParam();
+  const auto sys = make_rc(24, 24, 1.0, 0.4);
+  const std::size_t n = 576;
+  const CircuitOperator op(sys.c, sys.g, kind, gamma);
+  matex::testing::Rng rng(21);
+  const auto v0 = matex::testing::random_vector(n, rng);
+  const auto p = matex::testing::random_vector(n, rng);
+  const auto q = matex::testing::random_vector(n, rng);
+  const auto s_term = matex::testing::random_vector(n, rng);
+  ArnoldiOptions opts;
+  opts.max_dim = 30;
+  opts.tolerance = 1e-8;
+  KrylovSubspace space;
+  // Rebuilt in place twice: the second build reuses the first's storage.
+  arnoldi(space, op, matex::testing::random_vector(n, rng), 0.3, opts);
+  arnoldi(space, op, v0, 0.6, opts);
+  const auto fresh = arnoldi(op, v0, 0.6, opts);
+  ASSERT_EQ(space.dim(), fresh.dim());
+
+  std::vector<index_t> rows;
+  for (index_t i = 3; i < static_cast<index_t>(n); i += 7) rows.push_back(i);
+  const std::vector<double> hs = {0.0, 0.1, 0.35, 0.6};
+  std::vector<std::vector<double>> stored(hs.size(),
+                                          std::vector<double>(rows.size()));
+  std::vector<std::vector<double>> added(hs.size(),
+                                         std::vector<double>(rows.size()));
+  std::vector<BatchPoint> store_points, add_points;
+  for (std::size_t k = 0; k < hs.size(); ++k) {
+    for (std::size_t r = 0; r < rows.size(); ++r)
+      added[k][r] = rng.uniform(-1.0, 1.0);
+    store_points.push_back({hs[k], stored[k].data()});
+    add_points.push_back({hs[k], added[k].data()});
+  }
+  const auto seeds = added;
+  const AffineTerm term{p, q, s_term};
+  space.evaluate_batch(store_points, rows, term, false);
+  space.evaluate_batch(add_points, rows, term, true);
+
+  std::vector<double> y(n);
+  for (std::size_t k = 0; k < hs.size(); ++k) {
+    fresh.evaluate(hs[k], y);
+    for (std::size_t i = 0; i < n; ++i) y[i] += p[i] + hs[k] * q[i] - s_term[i];
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      const double ref = y[static_cast<std::size_t>(rows[r])];
+      EXPECT_EQ(stored[k][r], ref) << "h " << hs[k] << " row " << rows[r];
+      EXPECT_EQ(added[k][r], seeds[k][r] + ref)
+          << "h " << hs[k] << " row " << rows[r];
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllKinds, ArnoldiKindTest,
     ::testing::Values(KindParam{KrylovKind::kStandard, 0.0},

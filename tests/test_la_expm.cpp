@@ -88,6 +88,46 @@ TEST(Expm, ApplyMatchesFullExponential) {
   for (std::size_t i = 0; i < 7; ++i) EXPECT_NEAR(y[i], yref[i], 1e-13);
 }
 
+TEST(ExpmWorkspace, FirstColumnIsBitwiseTheFullExponentialsColumn) {
+  // Norms that select each Pade degree (3/5/7/9), degree 13 without
+  // squaring, and the scaling-and-squaring path. The workspace forms only
+  // column 0 at its last stage; that column must equal column 0 of the
+  // full exponential bit for bit, and reusing one workspace across orders
+  // must not change a bit either.
+  testing::Rng rng(31);
+  ExpmWorkspace ws;
+  for (const std::size_t n : {7u, 3u, 9u})
+    for (const double target : {0.01, 0.2, 0.9, 2.0, 5.0, 12.0, 90.0}) {
+      SCOPED_TRACE(::testing::Message() << "n " << n << " norm " << target);
+      const auto base = testing::random_dense(n, rng);
+      const DenseMatrix a = base.scaled(target / base.norm1());
+      for (const double t : {1.0, 0.37}) {
+        const DenseMatrix full = expm(a, t);
+        const auto e1 = ws.e1(a, t);
+        ASSERT_EQ(e1.size(), n);
+        for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(e1[i], full(i, 0));
+        const auto legacy = expm_e1(a, t);
+        for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(legacy[i], full(i, 0));
+        const DenseMatrix& again = ws.full(a, t);
+        for (std::size_t i = 0; i < n * n; ++i)
+          EXPECT_EQ(again.data()[i], full.data()[i]);
+
+        const auto f = testing::random_vector(n, rng);
+        double hump = -1.0;
+        const auto w = ws.e1_hump(a, t, f, hump);
+        double fw = 0.0;
+        for (std::size_t i = 0; i < n; ++i) {
+          EXPECT_EQ(w[i], full(i, 0));
+          fw += f[i] * w[i];
+        }
+        // The hump samples every stage, the last one included.
+        EXPECT_GE(hump, std::abs(fw));
+        const auto legacy_hump = expm_e1_hump(a, t, f);
+        EXPECT_EQ(legacy_hump.hump_last_entry, hump);
+      }
+    }
+}
+
 class ExpmPropertyTest : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(ExpmPropertyTest, GroupProperty) {

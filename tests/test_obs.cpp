@@ -318,6 +318,64 @@ TEST_F(ObsTest, PaperProtocolRunFactorsOnceAndRefillsPerNode) {
     EXPECT_EQ(superposes[g], 1) << "node " << g;
 }
 
+TEST_F(ObsTest, EvaluateSpansNestInsideMatexRun) {
+  // Each segment with output points leaves one `evaluate` span inside its
+  // node's `matex.run`, carrying the points it delivered, the rows it
+  // evaluated and the Krylov dimension. Every output time but t_start
+  // (delivered before the first segment) falls in exactly one of them.
+  const Netlist netlist = two_group_netlist();
+  const MnaSystem mna(netlist);
+  core::SchedulerOptions sopt;
+  sopt.t_end = 2.0;
+  sopt.solver.gamma = 0.05;
+  sopt.solver.tolerance = 1e-9;
+  sopt.output_times = uniform_grid(0.0, 2.0, 0.1);
+  const std::size_t n = static_cast<std::size_t>(mna.dimension());
+
+  for (const bool declared : {false, true}) {
+    SCOPED_TRACE(declared ? "declared rows" : "full state");
+    sopt.output_rows.clear();
+    if (declared) sopt.output_rows = {0, 2};
+    const double width = declared ? 2.0 : static_cast<double>(n);
+    start_tracing();
+    const auto result =
+        core::run_distributed_matex(mna, sopt, solver::Observer{});
+    stop_tracing();
+    const JsonValue doc = parse_json(chrome_trace_json());
+
+    std::vector<const JsonValue*> runs;
+    for (const JsonValue& ev : doc.at("traceEvents").array)
+      if (ev.at("name").as_string() == "matex.run") runs.push_back(&ev);
+    ASSERT_EQ(runs.size(), result.group_count);
+    std::vector<double> points(runs.size(), 0.0);
+    int evaluates = 0;
+    for (const JsonValue& ev : doc.at("traceEvents").array) {
+      if (ev.at("name").as_string() != "evaluate") continue;
+      ++evaluates;
+      const double s0 = ev.at("ts").as_number();
+      const double s1 = s0 + ev.at("dur").as_number();
+      int parents = 0;
+      for (std::size_t k = 0; k < runs.size(); ++k) {
+        const JsonValue& run = *runs[k];
+        const double t0 = run.at("ts").as_number();
+        const double t1 = t0 + run.at("dur").as_number();
+        if (run.at("tid").as_number() == ev.at("tid").as_number() &&
+            s0 >= t0 && s1 <= t1 + 1e-3) {
+          ++parents;
+          points[k] += ev.at("args").at("points").as_number();
+        }
+      }
+      EXPECT_EQ(parents, 1) << "evaluate outside one matex.run";
+      EXPECT_GT(ev.at("args").at("points").as_number(), 0.0);
+      EXPECT_EQ(ev.at("args").at("rows").as_number(), width);
+      EXPECT_GE(ev.at("args").at("m").as_number(), 0.0);
+    }
+    EXPECT_GT(evaluates, 0);
+    for (const double p : points)
+      EXPECT_EQ(p, static_cast<double>(sopt.output_times.size() - 1));
+  }
+}
+
 TEST_F(ObsTest, WaveformsBitwiseIdenticalTracingOnOrOff) {
   const Netlist netlist = two_group_netlist();
   const MnaSystem mna(netlist);
@@ -335,18 +393,23 @@ TEST_F(ObsTest, WaveformsBitwiseIdenticalTracingOnOrOff) {
   sopt.solver.tolerance = 1e-9;
   sopt.output_times = uniform_grid(0.0, 2.0, 0.1);
 
-  const auto run_both = [&](StateRecorder& tr, StateRecorder& dist) {
+  core::SchedulerOptions probe_opt = sopt;
+  probe_opt.output_rows = {1, 3};
+
+  const auto run_all = [&](StateRecorder& tr, StateRecorder& dist,
+                           StateRecorder& probe) {
     run_adaptive_trapezoidal(mna, dc.x, topt, tr.observer());
     core::run_distributed_matex(mna, sopt, dist.observer());
+    core::run_distributed_matex(mna, probe_opt, probe.observer());
   };
 
-  StateRecorder tr_off, dist_off;
-  run_both(tr_off, dist_off);
+  StateRecorder tr_off, dist_off, probe_off;
+  run_all(tr_off, dist_off, probe_off);
 
   start_tracing();
   enable_metrics();
-  StateRecorder tr_on, dist_on;
-  run_both(tr_on, dist_on);
+  StateRecorder tr_on, dist_on, probe_on;
+  run_all(tr_on, dist_on, probe_on);
   stop_tracing();
   disable_metrics();
 
@@ -365,6 +428,7 @@ TEST_F(ObsTest, WaveformsBitwiseIdenticalTracingOnOrOff) {
   };
   expect_bitwise(tr_off, tr_on);
   expect_bitwise(dist_off, dist_on);
+  expect_bitwise(probe_off, probe_on);
 }
 
 // ----------------------------------------------------------------- metrics
